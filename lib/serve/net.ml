@@ -13,16 +13,6 @@ let ignore_sigpipe () =
   | "Unix" -> (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ())
   | _ -> ()
 
-let write_line fd line =
-  let buf = Bytes.of_string (line ^ "\n") in
-  let len = Bytes.length buf in
-  let rec go off =
-    if off < len then
-      let n = Unix.write fd buf off (len - off) in
-      go (off + n)
-  in
-  go 0
-
 let track l fd =
   Mutex.lock l.conns_mutex;
   l.conns <- fd :: l.conns;
@@ -33,28 +23,27 @@ let untrack l fd =
   l.conns <- List.filter (fun d -> d != fd) l.conns;
   Mutex.unlock l.conns_mutex
 
-(* One thread per connection: read lines, answer lines. [Server.handle]
-   is total, so the only exits are EOF, [quit], or a socket error. *)
+(* One thread per connection: read lines, answer lines. [Server.respond]
+   is total, so the only exits are EOF, [quit], or a socket error.
+   Each answer is written from the connection's buffer through one
+   channel, which loops over partial writes. *)
 let serve_conn l fd =
   let conn = Server.connect l.server in
   let inch = Unix.in_channel_of_descr fd in
+  let oc = Unix.out_channel_of_descr fd in
   let rec loop () =
     match In_channel.input_line inch with
     | None -> ()
     | Some line ->
-        let resp = Server.handle l.server conn line in
-        write_line fd resp;
-        (* [quit] answers Bye and ends the connection *)
-        if
-          match Protocol.decode_request line with
-          | Ok Protocol.Quit -> true
-          | _ -> false
-        then ()
-        else loop ()
+        Buffer.output_buffer oc (Server.respond l.server conn line);
+        output_char oc '\n';
+        flush oc;
+        if not (Server.closed conn) then loop ()
   in
   (try loop () with Unix.Unix_error _ | Sys_error _ | End_of_file -> ());
   untrack l fd;
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  (* closes [fd]; an answer a dead peer left unflushed is dropped *)
+  close_out_noerr oc
 
 let accept_loop l =
   while l.running do
@@ -112,7 +101,7 @@ let shutdown l =
   end
 
 module Client = struct
-  type t = { fd : Unix.file_descr; inch : in_channel }
+  type t = { inch : in_channel; oc : out_channel }
 
   let connect ~path =
     ignore_sigpipe ();
@@ -121,11 +110,13 @@ module Client = struct
      with e ->
        (try Unix.close fd with Unix.Unix_error _ -> ());
        raise e);
-    { fd; inch = Unix.in_channel_of_descr fd }
+    { inch = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
 
   let call c req =
     match
-      write_line c.fd (Protocol.encode_request req);
+      output_string c.oc (Protocol.encode_request req);
+      output_char c.oc '\n';
+      flush c.oc;
       In_channel.input_line c.inch
     with
     | None -> Error "connection closed by server"
@@ -138,5 +129,5 @@ module Client = struct
     | Ok resp -> resp
     | Error e -> failwith ("Sheetserve client: " ^ e)
 
-  let close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
+  let close c = close_out_noerr c.oc
 end

@@ -26,23 +26,18 @@ type response =
 
 (* ---- values ---- *)
 
-let encode_value : Value.t -> J.t = function
-  | Value.Null -> J.Null
-  | Value.Bool b -> J.Bool b
-  | Value.Int i -> J.Int i
-  | Value.Float f -> J.Float f
-  | Value.String s -> J.String s
-  | Value.Date d -> J.Obj [ ("date", J.Int d) ]
+(* a malformed table; caught once per table, never escapes a decoder *)
+exception Bad of string
 
-let decode_value : J.t -> (Value.t, string) result = function
-  | J.Null -> Ok Value.Null
-  | J.Bool b -> Ok (Value.Bool b)
-  | J.Int i -> Ok (Value.Int i)
-  | J.Float f -> Ok (Value.Float f)
-  | J.String s -> Ok (Value.String s)
-  | J.Obj [ ("date", J.Int d) ] -> Ok (Value.Date d)
-  | J.Obj _ -> Error "cell object is not {\"date\":<int>}"
-  | J.List _ -> Error "cell cannot be a list"
+let cell : J.t -> Value.t = function
+  | J.Null -> Value.Null
+  | J.Bool b -> Value.Bool b
+  | J.Int i -> Value.Int i
+  | J.Float f -> Value.Float f
+  | J.String s -> Value.String s
+  | J.Obj [ ("date", J.Int d) ] -> Value.Date d
+  | J.Obj _ -> raise (Bad "cell object is not {\"date\":<int>}")
+  | J.List _ -> raise (Bad "cell cannot be a list")
 
 let vtype_name = function
   | Value.TBool -> "bool"
@@ -119,68 +114,111 @@ let decode_request line =
 
 let ok ty fields = J.Obj (("ok", J.Bool true) :: ("type", J.String ty) :: fields)
 
-let encode_response resp =
-  let j =
-    match resp with
-    | Welcome { session; arena } ->
-        ok "welcome" [ ("session", J.String session); ("arena", J.Int arena) ]
-    | Opened { base; uid; rows } ->
-        ok "opened"
-          [ ("base", J.String base); ("uid", J.Int uid); ("rows", J.Int rows) ]
-    | Applied { uid; output } ->
-        ok "applied"
-          (("uid", J.Int uid)
-          ::
-          (match output with
-          | None -> []
-          | Some s -> [ ("output", J.String s) ]))
-    | Table { uid; columns; rows } ->
-        ok "table"
-          [ ("uid", J.Int uid);
-            ( "columns",
-              J.List
-                (List.map
-                   (fun (name, ty) ->
-                     J.List [ J.String name; J.String (vtype_name ty) ])
-                   columns) );
-            ( "rows",
-              J.List (List.map (fun r -> J.List (List.map encode_value r)) rows)
-            )
-          ]
-    | Stats { sessions; ops; busy_rejections } ->
-        ok "stats"
-          [ ("sessions", J.Int sessions);
-            ("ops", J.Int ops);
-            ("busy_rejections", J.Int busy_rejections)
-          ]
-    | Pong -> ok "pong" []
-    | Bye -> ok "bye" []
-    | Refused { busy; reason } ->
-        J.Obj
-          [ ("ok", J.Bool false);
-            ("busy", J.Bool busy);
-            ("error", J.String reason)
-          ]
-  in
-  J.to_string j
+(* ---- tables, printed cell by cell without a [J.t] tree ---- *)
 
-let decode_column = function
+let add_value buf = function
+  | Value.Null -> Buffer.add_string buf "null"
+  | Value.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Value.Int i -> J.add_int buf i
+  | Value.Float f -> J.add_float buf f
+  | Value.String s -> J.add_string buf s
+  | Value.Date d ->
+      Buffer.add_string buf "{\"date\":";
+      J.add_int buf d;
+      Buffer.add_char buf '}'
+
+(* [[x,...]] for any container with an [iteri] *)
+let add_list buf add iteri xs =
+  Buffer.add_char buf '[';
+  iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char buf ',';
+      add buf x)
+    xs;
+  Buffer.add_char buf ']'
+
+let add_column buf (name, ty) =
+  Buffer.add_char buf '[';
+  J.add_string buf name;
+  Buffer.add_string buf ",\"";
+  Buffer.add_string buf (vtype_name ty);
+  Buffer.add_string buf "\"]"
+
+let add_table buf ~uid ~columns add_rows =
+  Buffer.add_string buf "{\"ok\":true,\"type\":\"table\",\"uid\":";
+  J.add_int buf uid;
+  Buffer.add_string buf ",\"columns\":";
+  add_list buf add_column List.iteri columns;
+  Buffer.add_string buf ",\"rows\":";
+  add_rows buf;
+  Buffer.add_char buf '}'
+
+let table_to_buffer buf ~uid ~columns rows =
+  add_table buf ~uid ~columns (fun buf ->
+      add_list buf
+        (fun buf row -> add_list buf add_value Array.iteri row)
+        Array.iteri rows)
+
+let response_to_buffer buf resp =
+  let tree j = J.to_buffer buf j in
+  match resp with
+  | Welcome { session; arena } ->
+      tree (ok "welcome" [ ("session", J.String session); ("arena", J.Int arena) ])
+  | Opened { base; uid; rows } ->
+      tree
+        (ok "opened"
+           [ ("base", J.String base); ("uid", J.Int uid); ("rows", J.Int rows) ])
+  | Applied { uid; output } ->
+      tree
+        (ok "applied"
+           (("uid", J.Int uid)
+           ::
+           (match output with
+           | None -> []
+           | Some s -> [ ("output", J.String s) ])))
+  | Table { uid; columns; rows } ->
+      add_table buf ~uid ~columns (fun buf ->
+          add_list buf
+            (fun buf row -> add_list buf add_value List.iteri row)
+            List.iteri rows)
+  | Stats { sessions; ops; busy_rejections } ->
+      tree
+        (ok "stats"
+           [ ("sessions", J.Int sessions);
+             ("ops", J.Int ops);
+             ("busy_rejections", J.Int busy_rejections)
+           ])
+  | Pong -> tree (ok "pong" [])
+  | Bye -> tree (ok "bye" [])
+  | Refused { busy; reason } ->
+      tree
+        (J.Obj
+           [ ("ok", J.Bool false);
+             ("busy", J.Bool busy);
+             ("error", J.String reason)
+           ])
+
+let encode_response resp =
+  let buf = Buffer.create 256 in
+  response_to_buffer buf resp;
+  Buffer.contents buf
+
+let column = function
   | J.List [ J.String name; J.String ty ] -> (
       match vtype_of_name ty with
-      | Some ty -> Ok (name, ty)
-      | None -> Error (Printf.sprintf "unknown column type %S" ty))
-  | _ -> Error "column is not [name, type]"
+      | Some ty -> (name, ty)
+      | None -> raise (Bad (Printf.sprintf "unknown column type %S" ty)))
+  | _ -> raise (Bad "column is not [name, type]")
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: xs ->
-      let* y = f x in
-      let* ys = map_result f xs in
-      Ok (y :: ys)
+let row = function
+  | J.List cells -> List.map cell cells
+  | _ -> raise (Bad "row is not a list")
 
-let decode_row = function
-  | J.List cells -> map_result decode_value cells
-  | _ -> Error "row is not a list"
+let list_field name f j =
+  match J.member name j with
+  | Some (J.List xs) -> ( try Ok (List.map f xs) with Bad e -> Error e)
+  | Some _ -> Error (Printf.sprintf "field %S is not a list" name)
+  | None -> Error (Printf.sprintf "missing field %S" name)
 
 let decode_response line =
   let* j = J.parse line in
@@ -212,18 +250,8 @@ let decode_response line =
         Ok (Applied { uid; output })
     | "table" ->
         let* uid = int_field "uid" j in
-        let* columns =
-          match J.member "columns" j with
-          | Some (J.List cols) -> map_result decode_column cols
-          | Some _ -> Error "field \"columns\" is not a list"
-          | None -> Error "missing field \"columns\""
-        in
-        let* rows =
-          match J.member "rows" j with
-          | Some (J.List rows) -> map_result decode_row rows
-          | Some _ -> Error "field \"rows\" is not a list"
-          | None -> Error "missing field \"rows\""
-        in
+        let* columns = list_field "columns" column j in
+        let* rows = list_field "rows" row j in
         Ok (Table { uid; columns; rows })
     | "stats" ->
         let* sessions = int_field "sessions" j in

@@ -73,10 +73,26 @@ val encode_request : request -> string
 val decode_request : string -> (request, string) result
 
 val encode_response : response -> string
+(** One line, no trailing newline: {!response_to_buffer} into a fresh
+    buffer. *)
+
 val decode_response : string -> (response, string) result
 
-val encode_value : Value.t -> Sheet_obs.Obs_json.t
-val decode_value : Sheet_obs.Obs_json.t -> (Value.t, string) result
+val response_to_buffer : Buffer.t -> response -> unit
+(** Append the line {!encode_response} spells. A [Table] prints cell by
+    cell through {!Sheet_obs.Obs_json.add_string} and
+    {!Sheet_obs.Obs_json.add_float}, without building a JSON tree. *)
+
+val table_to_buffer :
+  Buffer.t ->
+  uid:int ->
+  columns:(string * Value.vtype) list ->
+  Row.t array ->
+  unit
+(** Append the [Table] line for rows still held as arrays (a
+    relation's own storage): the same bytes as {!response_to_buffer}
+    of [Table { uid; columns; rows = List.map Row.to_list rows }],
+    without the lists. *)
 
 val vtype_name : Value.vtype -> string
 val vtype_of_name : string -> Value.vtype option

@@ -57,9 +57,14 @@ let create cfg =
     busy_rejections = 0;
   }
 
-type conn = { mutable bound : string option }
+type conn = {
+  mutable bound : string option;
+  mutable closed : bool;  (* answered [quit] *)
+  out : Buffer.t;  (* the answer line, reused across requests *)
+}
 
-let connect _t = { bound = None }
+let connect _t = { bound = None; closed = false; out = Buffer.create 4096 }
+let closed conn = conn.closed
 
 (* serve.* counters live beside the engine's own telemetry; the Stats
    response reads the server-local fields so gate-time Metrics.reset
@@ -165,18 +170,20 @@ let run_line t (st : session_state) sess text =
       let sheet = Session.current session in
       Protocol.Applied { uid = sheet.Spreadsheet.uid; output }
 
+(* A [rows] answer stays a relation until it is printed, so the
+   socket path can print it from the relation's own row arrays. *)
+type answer =
+  | Reply of Protocol.response
+  | Sheet of { uid : int; rel : Relation.t }
+
+let columns_of rel =
+  List.map
+    (fun c -> (c.Schema.name, c.Schema.ty))
+    (Schema.columns (Relation.schema rel))
+
 let rows_of t (st : session_state) sess =
   let rel = with_engine t st (fun () -> Session.materialized sess) in
-  let sheet = Session.current sess in
-  Protocol.Table
-    {
-      uid = sheet.Spreadsheet.uid;
-      columns =
-        List.map
-          (fun c -> (c.Schema.name, c.Schema.ty))
-          (Schema.columns (Relation.schema rel));
-      rows = List.map Row.to_list (Relation.rows rel);
-    }
+  Sheet { uid = (Session.current sess).Spreadsheet.uid; rel }
 
 let stats t =
   with_lock t.table_mutex (fun () ->
@@ -196,7 +203,16 @@ let quit t conn =
           Obs.Metrics.set (Lazy.force m_sessions)
             (Hashtbl.length t.sessions)));
   conn.bound <- None;
+  conn.closed <- true;
   Protocol.Bye
+
+let rows_answer t conn =
+  match bound_session t conn with
+  | None -> Reply (refused "hello required before rows")
+  | Some st -> (
+      match st.sess with
+      | None -> Reply (refused "open required before rows")
+      | Some sess -> rows_of t st sess)
 
 let handle_request t conn req =
   Obs.Metrics.incr (Lazy.force m_requests);
@@ -219,20 +235,32 @@ let handle_request t conn req =
               if rate_admit t st then run_line t st sess text
               else busy t "rate limit exceeded"))
   | Protocol.Rows -> (
-      match bound_session t conn with
-      | None -> refused "hello required before rows"
-      | Some st -> (
-          match st.sess with
-          | None -> refused "open required before rows"
-          | Some sess -> rows_of t st sess))
+      match rows_answer t conn with
+      | Reply resp -> resp
+      | Sheet { uid; rel } ->
+          Protocol.Table
+            {
+              uid;
+              columns = columns_of rel;
+              rows = List.map Row.to_list (Relation.rows rel);
+            })
 
-let handle t conn line =
-  let resp =
-    match Protocol.decode_request line with
-    | Error e -> refused ("parse error: " ^ e)
-    | Ok req -> handle_request t conn req
-  in
-  Protocol.encode_response resp
+let respond t conn line =
+  let buf = conn.out in
+  Buffer.clear buf;
+  (match Protocol.decode_request line with
+  | Error e -> Protocol.response_to_buffer buf (refused ("parse error: " ^ e))
+  | Ok Protocol.Rows -> (
+      Obs.Metrics.incr (Lazy.force m_requests);
+      match rows_answer t conn with
+      | Reply resp -> Protocol.response_to_buffer buf resp
+      | Sheet { uid; rel } ->
+          Protocol.table_to_buffer buf ~uid ~columns:(columns_of rel)
+            (Relation.to_array rel))
+  | Ok req -> Protocol.response_to_buffer buf (handle_request t conn req));
+  buf
+
+let handle t conn line = Buffer.contents (respond t conn line)
 
 let session_count t =
   with_lock t.table_mutex (fun () -> Hashtbl.length t.sessions)

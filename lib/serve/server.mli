@@ -76,14 +76,24 @@ val create : config -> t
 
 type conn
 (** Per-connection state: which client id (if any) this connection has
-    bound with [hello]. *)
+    bound with [hello], whether it has answered [quit], and the buffer
+    its answers are printed into. *)
 
 val connect : t -> conn
 
+val respond : t -> conn -> string -> Buffer.t
+(** One raw request line in; the response line (no trailing newline)
+    printed into the connection's own buffer, which is cleared and
+    reused by the next call on [conn]. A [rows] answer is printed
+    straight from the materialized relation's rows. Total: parse
+    failures and engine refusals come back as [Refused] responses. *)
+
 val handle : t -> conn -> string -> string
-(** One raw request line in, one response line (no trailing newline)
-    out. Total: parse failures and engine refusals come back as
-    [Refused] responses. *)
+(** {!respond}, as a string. *)
+
+val closed : conn -> bool
+(** The connection has answered [quit] with [Bye]; the transport ends
+    it. *)
 
 val handle_request : t -> conn -> Protocol.request -> Protocol.response
 (** {!handle} after decoding — the seam the in-process tests drive. *)

@@ -679,6 +679,96 @@ let json_parse_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unbounded depth accepted"
 
+(* Literal cases at the parser's boundaries: a string's unescaped
+   prefix (one [String.sub]) against its escaped rest (a [Buffer]),
+   literals matched in place, numbers read to the end of input. *)
+let json_parse_boundaries () =
+  let ok = [
+    ({|"ab\"c"|}, J.String "ab\"c");
+    ({|"abc\\"|}, J.String "abc\\");
+    ({|"ab\nc\td"|}, J.String "ab\nc\td");
+    ({|"ab😀c"|}, J.String "ab\xf0\x9f\x98\x80c");
+    ({|"plain"|}, J.String "plain");
+    ({|""|}, J.String "");
+    ("null", J.Null); ("true", J.Bool true); ("false", J.Bool false);
+    ("[null,true,false]", J.List [ J.Null; J.Bool true; J.Bool false ]);
+    ("42", J.Int 42); ("-7", J.Int (-7)); ("-0", J.Int 0); ("1.5", J.Float 1.5);
+    ("2e3", J.Float 2000.); ("[1,-2]", J.List [ J.Int 1; J.Int (-2) ]);
+    ("4611686018427387903", J.Int max_int);
+    ("-4611686018427387904", J.Int min_int);
+    ("4611686018427387904", J.Float 4611686018427387904.);
+    ("123456789012345678", J.Int 123456789012345678);
+    ({|{"a":"x\"y","b":1}|}, J.Obj [ ("a", J.String "x\"y"); ("b", J.Int 1) ]);
+  ] in
+  List.iter
+    (fun (text, want) ->
+      match J.parse text with
+      | Ok v ->
+          Alcotest.(check bool) (text ^ " parses as expected") true (J.equal v want)
+      | Error e -> Alcotest.failf "%S: %s" text e)
+    ok;
+  List.iter
+    (fun text ->
+      match J.parse text with
+      | Error _ -> ()
+      | Ok v -> Alcotest.failf "%S parsed as %s" text (J.to_string v))
+    [ "\"ab\001c\""; "\"ab\\\"c\001\""; "\"abc"; "\"ab\\\"c"; "\"ab\\";
+      {|"ab\ud83d"|}; {|"ab\ud83dx"|}; {|"ab\ude00"|}; {|"ab\q"|};
+      "nul"; "tru"; "fals"; "nulx"; "[nul]"; "-"; "1."; "1e"; "1e+"; "[1" ]
+
+(* The scalar printers against the char-at-a-time and [Printf]
+   spellings they replace. *)
+let reference_string s =
+  let b = Buffer.create 16 in
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\b' -> Buffer.add_string b "\\b"
+      | '\012' -> Buffer.add_string b "\\f"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+let reference_float f =
+  if not (Float.is_finite f) then "null"
+  else
+    let s = Printf.sprintf "%.17g" f in
+    if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
+    else s ^ ".0"
+
+let json_scalars_match_reference =
+  QCheck.Test.make ~count:2000
+    ~name:"string, int and float spellings equal the reference printers"
+    QCheck.(
+      make
+        Gen.(
+          triple
+            (string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 40))
+            (oneof [ int; oneofl [ min_int; max_int; 0; -1; 10; -10 ] ])
+            (oneof
+               [ map2
+                   (fun hi lo ->
+                     Int64.float_of_bits
+                       Int64.(logor (shift_left (of_int hi) 32)
+                                (of_int (lo land 0xffffffff))))
+                   int int;
+                 oneofl [ nan; infinity; neg_infinity; -0.0; 0.0; 1e16; 1e17;
+                          1e21; 1e-5; 5e-324; max_float ];
+                 float_range (-1e6) 1e6 ])))
+    (fun (s, i, f) ->
+      J.to_string (J.String s) = reference_string s
+      && J.to_string (J.Int i) = string_of_int i
+      && J.to_string (J.Float f) = reference_float f)
+
 (* ---------- the v3 merge algebra and sharded cells ---------- *)
 
 let hist_merge_zero_identity =
@@ -1369,4 +1459,6 @@ let () =
        [ Alcotest.test_case "value round-trips" `Quick
            json_round_trip_values;
          Alcotest.test_case "totality and escapes" `Quick
-           json_parse_errors ]) ]
+           json_parse_errors;
+         Alcotest.test_case "parser boundaries" `Quick json_parse_boundaries;
+         QCheck_alcotest.to_alcotest json_scalars_match_reference ]) ]

@@ -100,6 +100,150 @@ let decode_total =
       (match Protocol.decode_request s with Ok _ | Error _ -> true)
       && match Protocol.decode_response s with Ok _ | Error _ -> true)
 
+(* ---------- byte compatibility of the table printer ---------- *)
+
+module J = Sheet_obs.Obs_json
+
+(* The oracle: a table spelled through a [J.t] tree and [J.to_string],
+   the way the protocol printed every response before tables were
+   printed cell by cell. Used only to check [Protocol]. *)
+let reference_table ~uid ~columns ~rows =
+  let cell = function
+    | Value.Null -> J.Null
+    | Value.Bool b -> J.Bool b
+    | Value.Int i -> J.Int i
+    | Value.Float f -> J.Float f
+    | Value.String s -> J.String s
+    | Value.Date d -> J.Obj [ ("date", J.Int d) ]
+  in
+  J.to_string
+    (J.Obj
+       [ ("ok", J.Bool true);
+         ("type", J.String "table");
+         ("uid", J.Int uid);
+         ( "columns",
+           J.List
+             (List.map
+                (fun (name, ty) ->
+                  J.List [ J.String name; J.String (Protocol.vtype_name ty) ])
+                columns) );
+         ("rows", J.List (List.map (fun r -> J.List (List.map cell r)) rows))
+       ])
+
+(* any bit pattern, plus the floats JSON cannot spell or that sit on
+   a printing edge *)
+let gen_any_float =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl
+          [ nan; infinity; neg_infinity; -0.0; 0.0; 1.0; -1.0; 0.1; 1e16;
+            1e17; 1e21; 1e-5; 1e-4; 123456789012345678.0; max_float;
+            min_float; epsilon_float; 5e-324 ];
+        map2
+          (fun hi lo ->
+            Int64.float_of_bits
+              Int64.(logor (shift_left (of_int hi) 32) (of_int (lo land 0xffffffff))))
+          int int;
+        float_range (-1e6) 1e6;
+      ])
+
+let gen_wide_value =
+  QCheck.Gen.(
+    oneof
+      [
+        return Value.Null;
+        map (fun b -> Value.Bool b) bool;
+        map (fun i -> Value.Int i) (oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ]);
+        map (fun f -> Value.Float f) gen_any_float;
+        map (fun s -> Value.String s) gen_nasty_string;
+        map (fun d -> Value.Date d) int;
+      ])
+
+(* zero columns, empty row lists and empty rows included *)
+let gen_table =
+  QCheck.Gen.(
+    triple nat
+      (small_list (pair gen_nasty_string gen_vtype))
+      (small_list (small_list gen_wide_value)))
+
+let table_bytes_match_tree =
+  QCheck.Test.make ~count:1000
+    ~name:"encode_response (Table t) = the tree printer's bytes"
+    (QCheck.make gen_table)
+    (fun (uid, columns, rows) ->
+      let expected = reference_table ~uid ~columns ~rows in
+      Protocol.encode_response (Protocol.Table { uid; columns; rows })
+      = expected
+      &&
+      let buf = Buffer.create 16 in
+      Protocol.table_to_buffer buf ~uid ~columns
+        (Array.of_list (List.map Row.of_list rows));
+      Buffer.contents buf = expected)
+
+(* a relation with a cell of every kind, awkward ones included *)
+let awkward_relation ~rows =
+  let schema =
+    Schema.of_list
+      [ ("id", Value.TInt); ("name", Value.TString); ("x", Value.TFloat);
+        ("on", Value.TDate); ("flag", Value.TBool) ]
+  in
+  let floats = [| nan; infinity; neg_infinity; -0.0; 0.1; 1e300; 2.0 |] in
+  Relation.make schema
+    (List.init rows (fun i ->
+         Row.of_list
+           [ (if i mod 11 = 0 then Value.Null else Value.Int (i - 3));
+             Value.String
+               (String.init (i mod 40) (fun j -> Char.chr ((i * 31 + j) mod 256)));
+             Value.Float floats.(i mod Array.length floats);
+             Value.Date (i - 500);
+             Value.Bool (i mod 2 = 0) ]))
+
+let columns_of rel =
+  List.map
+    (fun c -> (c.Schema.name, c.Schema.ty))
+    (Schema.columns (Relation.schema rel))
+
+(* the server prints a [rows] answer from the relation's row arrays;
+   the bytes must be those of [encode_response (Table ...)] built
+   from the same relation, and must re-encode to themselves *)
+let test_server_rows_bytes () =
+  let rel = awkward_relation ~rows:300 in
+  let server =
+    Server.create (Server.config (fun n -> if n = "awk" then Some rel else None))
+  in
+  let conn = Server.connect server in
+  let call req = Server.handle server conn (Protocol.encode_request req) in
+  ignore (call (Protocol.Hello "bytes"));
+  let uid =
+    match Protocol.decode_response (call (Protocol.Open "awk")) with
+    | Ok (Protocol.Opened { uid; _ }) -> uid
+    | _ -> Alcotest.fail "open awk"
+  in
+  let answer = call Protocol.Rows in
+  Alcotest.(check string)
+    "rows answer = encode_response (Table of the relation)"
+    (Protocol.encode_response
+       (Protocol.Table
+          {
+            uid;
+            columns = columns_of rel;
+            rows = List.map Row.to_list (Relation.rows rel);
+          }))
+    answer;
+  Alcotest.(check (result string string))
+    "answer re-encodes to the same bytes" (Ok answer)
+    (Result.map Protocol.encode_response (Protocol.decode_response answer));
+  (* after an operator, against the decoded seam *)
+  (match Protocol.decode_response (call (Protocol.Line "select id > 100")) with
+  | Ok (Protocol.Applied _) -> ()
+  | _ -> Alcotest.fail "select id > 100 not applied");
+  let answer = call Protocol.Rows in
+  Alcotest.(check string)
+    "rows after select = encode_response (handle_request Rows)"
+    (Protocol.encode_response (Server.handle_request server conn Protocol.Rows))
+    answer
+
 (* ---------- an in-process server over the cars relation ---------- *)
 
 let cars_lookup name =
@@ -169,6 +313,67 @@ let test_garbage_over_socket () =
         "pong after garbage" true
         (Protocol.decode_response line = Ok Protocol.Pong)
   | None -> Alcotest.fail "connection wedged after garbage"
+
+(* A [rows] answer over 1 MiB crosses a real socket intact. The
+   client sends [rows] and reads nothing for a while, so the server's
+   write fills the socket buffer and stalls part way; a second
+   connection's [ping] is answered meanwhile. *)
+let test_large_rows_over_socket () =
+  let rel = awkward_relation ~rows:24_000 in
+  let server =
+    Server.create (Server.config (fun n -> if n = "awk" then Some rel else None))
+  in
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "sheetserve-large-%d.sock" (Unix.getpid ()))
+  in
+  let listener = Net.listen server ~path in
+  Fun.protect ~finally:(fun () -> Net.shutdown listener) @@ fun () ->
+  let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ())
+  @@ fun () ->
+  Unix.connect fd (ADDR_UNIX path);
+  let inch = Unix.in_channel_of_descr fd in
+  let send req =
+    let b = Bytes.of_string (Protocol.encode_request req ^ "\n") in
+    ignore (Unix.write fd b 0 (Bytes.length b))
+  in
+  let recv () =
+    match In_channel.input_line inch with
+    | Some line -> line
+    | None -> Alcotest.fail "connection closed"
+  in
+  send (Protocol.Hello "large");
+  ignore (recv ());
+  send (Protocol.Open "awk");
+  let uid =
+    match Protocol.decode_response (recv ()) with
+    | Ok (Protocol.Opened { uid; _ }) -> uid
+    | _ -> Alcotest.fail "open awk"
+  in
+  send Protocol.Rows;
+  Thread.delay 0.2;
+  let other = Net.Client.connect ~path in
+  Alcotest.(check bool)
+    "ping answered while the large answer is sent" true
+    (Net.Client.call other Protocol.Ping = Ok Protocol.Pong);
+  Net.Client.close other;
+  let line = recv () in
+  Alcotest.(check bool) "answer exceeds 1 MiB" true
+    (String.length line > 1 lsl 20);
+  let expected =
+    Protocol.Table
+      {
+        uid;
+        columns = columns_of rel;
+        rows = List.map Row.to_list (Relation.rows rel);
+      }
+  in
+  Alcotest.(check string) "bytes = in-process encoding"
+    (Protocol.encode_response expected) line;
+  Alcotest.(check bool) "decodes to the in-process table" true
+    (Protocol.decode_response line
+     = Protocol.decode_response (Protocol.encode_response expected))
 
 (* ---------- admission control ---------- *)
 
@@ -467,13 +672,18 @@ let () =
   Alcotest.run "sheet_serve"
     [
       ( "protocol",
-        [ q request_roundtrip; q response_roundtrip; q decode_total ] );
+        [ q request_roundtrip; q response_roundtrip; q decode_total;
+          q table_bytes_match_tree;
+          Alcotest.test_case "server rows bytes" `Quick test_server_rows_bytes
+        ] );
       ( "liveness",
         [
           Alcotest.test_case "garbage then ping (in-process)" `Quick
             test_garbage_then_ping;
           Alcotest.test_case "garbage then ping (socket)" `Quick
             test_garbage_over_socket;
+          Alcotest.test_case "rows over 1 MiB (socket)" `Quick
+            test_large_rows_over_socket;
         ] );
       ( "admission",
         [
