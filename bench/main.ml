@@ -147,7 +147,7 @@ let dedup_workload sheet () =
   let s = apply_exn s Op.Dedup in
   ignore (Materialize.full s)
 
-(* Ablation 1: precedence-stratified replay with k separate selections
+(* Ablation 1: materialization with k separate selections
    versus one merged conjunction (the cost of modifiability). *)
 let replay_ablation sheet ~k ~merged () =
   let preds =
@@ -184,7 +184,7 @@ let computed_ablation sheet ~k () =
   ignore (Materialize.full s)
 
 (* Ablation 3: incremental materialization (Session seeds the cache
-   from the parent sheet) vs full stratified replay at every step. *)
+   from the parent sheet) vs a full materialization at every step. *)
 let pipeline_ops =
   [ Op.Group { basis = [ "Model" ]; dir = Grouping.Asc };
     Op.Select (Expr_parse.parse_string_exn "Year >= 2003");

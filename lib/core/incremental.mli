@@ -12,18 +12,23 @@
     - projection / inverse projection: the full materialization is
       unchanged (hidden columns are presentational) — unless duplicate
       elimination is active, whose key is the visible column set;
-    - grouping and ordering operators: a re-sort of the parent rows
+    - grouping and ordering operators: a [Sort] of the parent rows
       (their guards ensure no computed value changes);
     - a selection applied at the highest stratum (no computed column
-      defined after it): a filter of the parent rows;
-    - a new aggregation or formula column: computed over the parent
-      rows and appended.
+      defined after it): a [Filter] of the parent rows;
+    - a new aggregation or formula column: an [Extend_aggregate] /
+      [Extend_formula] over the parent rows;
+    - duplicate elimination with nothing hidden and no computed
+      column: a [Distinct_on] of the parent rows.
 
-    Anything else — duplicate elimination with computed columns,
-    renames, binary operators, query modification — answers [None]
-    and falls back to full replay. Derivations are exact: the result
-    is the relation {!Materialize.full} would compute (checked by the
-    property suite). *)
+    Each derivation is one {!Plan} node over [Scan parent_full], run
+    by {!Plan.execute} — the same executor as {!Materialize.full};
+    the strata themselves live in {!Plan.of_sheet}. Anything else —
+    duplicate elimination with computed columns, renames, binary
+    operators, query modification — answers [None] and falls back to
+    {!Materialize.full}. Derivations are exact: the result holds the
+    rows {!Materialize.full} would compute (checked against the
+    reference interpreter by the property suite). *)
 
 open Sheet_rel
 

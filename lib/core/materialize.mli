@@ -1,21 +1,16 @@
 (** Materialization: evaluate a spreadsheet's query state against its
     base relation to produce the relation the user sees.
 
-    Evaluation is {e precedence-stratified replay} (DESIGN.md §4):
-
-    + apply every selection that references only base columns, then
-      duplicate elimination if requested (stratum 0);
-    + for each computed column in definition order: compute its cells
-      (formulas row-wise; aggregates once per group at the column's
-      group level, repeated on every row of the group — Table III),
-      then apply the selections whose highest-ranked referenced column
-      is this one;
-    + sort into presentation order: the flat ordering that emulates
-      the recursive grouping ({!Grouping.sort_keys}).
-
-    This realizes the paper's commutativity (Theorem 2): the result
-    depends only on the query state, never on the order in which the
-    user issued the unary operators. *)
+    {!Plan} is the executor: [full s] runs [Plan.execute (Plan.of_sheet
+    s)], and the precedence strata (DESIGN.md §4) live in
+    {!Plan.of_sheet} — selections on base columns and duplicate
+    elimination first, then each computed column in definition order
+    followed by the selections whose highest-ranked column it is, then
+    the sort that emulates the recursive grouping. The result depends
+    only on the query state, never on the order in which the user
+    issued the unary operators (Theorem 2). This module adds the
+    semantic cache in front of the executor, and the derived views
+    ([visible], [current_base_rows], group boundaries and counts). *)
 
 open Sheet_rel
 
@@ -33,10 +28,11 @@ val full_cached : Spreadsheet.t -> Relation.t
     states for one that {!State_subsume.check} proves subsumes the
     request (same base relation and computed columns, a provably
     weaker selection) and answers by re-filtering/re-sorting that
-    entry's rows — a {e subsumed hit} — before falling back to a full
-    replay. Only {e order-safe} subsumers are eligible: the entry's
+    entry's rows — a {e subsumed hit}, executed as the plan
+    [Sort (keys, Filter (p, Scan cached))] — before falling back to
+    {!full}. Only {e order-safe} subsumers are eligible: the entry's
     sort keys must be a prefix of the request's, so the stable re-sort
-    reproduces a full replay's row order exactly (ties in base order)
+    reproduces {!full}'s row order exactly (ties in base order)
     rather than inheriting the subsumer's tie arrangement — under
     Sheetserve's shared cache, served rows must not depend on what
     other sessions happen to have materialized. Every answer equals
@@ -64,7 +60,7 @@ val seed_cache : Spreadsheet.t -> Relation.t -> unit
     mutex, so Sheetserve handler threads may call them concurrently:
     the hit-kind identity requests = exact + subsumed + miss stays
     exact and no thread can observe (or cache) a torn entry. The lock
-    is held across the replay a miss triggers; concurrent misses
+    is held across the execution a miss triggers; concurrent misses
     serialize.
     Eviction drops the {e oldest half} (by insertion order) once more
     than 512 entries are resident, so a hot subsumer is not thrown
@@ -76,7 +72,7 @@ type cache_stats = {
   hits : int;  (** exact: [full_cached] found the uid *)
   subsumed_hits : int;
       (** semantic: answered by re-filtering a proven subsumer *)
-  misses : int;  (** [full_cached] had to replay *)
+  misses : int;  (** [full_cached] had to run {!full} *)
   seeds : int;  (** [seed_cache] installs (see {!Incremental}) *)
   evictions : int;  (** oldest-half drops past the 512-entry bound *)
   entries : int;  (** currently resident materializations *)
@@ -95,7 +91,8 @@ val reset_cache : unit -> unit
 val current_base_rows : Spreadsheet.t -> Relation.t
 (** The paper's [R^j]: the base relation filtered by the accumulated
     selections and duplicate elimination — base columns only, no
-    presentation ordering. This is what binary operators combine. *)
+    presentation ordering (the sheet's plan without its top sort).
+    This is what binary operators combine. *)
 
 val finest_group_boundaries : Spreadsheet.t -> Relation.t -> int list
 (** 0-based indices of rows that end a finest-level group in a

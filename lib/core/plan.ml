@@ -24,74 +24,68 @@ and extend_agg = {
   basis : string list;
 }
 
-(* ---------- compilation (mirrors Materialize's stratified replay) -- *)
+(* ---------- compilation ----------
+
+   The strata live here: selections on base columns and duplicate
+   elimination first, then each computed column in definition order
+   followed by the selections whose highest-ranked column it is, then
+   one sort for the grouping (DESIGN.md §4). *)
+
+let sort_keys grouping =
+  List.map
+    (fun (attr, dir) ->
+      (attr, match dir with Grouping.Asc -> `Asc | Grouping.Desc -> `Desc))
+    (Grouping.sort_keys grouping)
+
+let extension grouping (c : Computed.t) plan =
+  match c.Computed.spec with
+  | Computed.Formula expr ->
+      Extend_formula
+        ({ name = c.Computed.name; ty = c.Computed.ty; expr }, plan)
+  | Computed.Aggregate { fn; arg; level } ->
+      Extend_aggregate
+        ( { agg_name = c.Computed.name;
+            agg_ty = c.Computed.ty;
+            fn;
+            arg;
+            basis = Grouping.cumulative_basis grouping level },
+          plan )
 
 let of_sheet (sheet : Spreadsheet.t) =
   let state = sheet.Spreadsheet.state in
+  let grouping = Spreadsheet.grouping sheet in
   let stratum pred = Query_state.selection_stratum state pred in
-  let preds_at k =
-    List.filter_map
-      (fun (s : Query_state.selection) ->
-        if stratum s.Query_state.pred = k then Some s.Query_state.pred
-        else None)
-      state.Query_state.selections
+  let filters_at k plan =
+    List.fold_left
+      (fun plan (s : Query_state.selection) ->
+        if stratum s.Query_state.pred = k then Filter (s.Query_state.pred, plan)
+        else plan)
+      plan state.Query_state.selections
   in
-  let base_schema = Spreadsheet.base_schema sheet in
-  let plan = Scan sheet.Spreadsheet.base in
-  let plan =
-    List.fold_left (fun plan pred -> Filter (pred, plan)) plan (preds_at 0)
-  in
+  let plan = filters_at 0 (Scan sheet.Spreadsheet.base) in
   let plan =
     if state.Query_state.dedup then
       let visible_base =
         List.filter
           (fun n -> not (List.mem n state.Query_state.hidden))
-          (Schema.names base_schema)
+          (Schema.names (Spreadsheet.base_schema sheet))
       in
       Distinct_on (visible_base, plan)
     else plan
   in
   let plan, _ =
     List.fold_left
-      (fun (plan, k) (c : Computed.t) ->
-        let plan =
-          match c.Computed.spec with
-          | Computed.Formula expr ->
-              Extend_formula
-                ({ name = c.Computed.name; ty = c.Computed.ty; expr }, plan)
-          | Computed.Aggregate { fn; arg; level } ->
-              Extend_aggregate
-                ( { agg_name = c.Computed.name;
-                    agg_ty = c.Computed.ty;
-                    fn;
-                    arg;
-                    basis =
-                      Grouping.cumulative_basis
-                        (Spreadsheet.grouping sheet)
-                        level },
-                  plan )
-        in
-        let plan =
-          List.fold_left
-            (fun plan pred -> Filter (pred, plan))
-            plan (preds_at k)
-        in
-        (plan, k + 1))
+      (fun (plan, k) c -> (filters_at k (extension grouping c plan), k + 1))
       (plan, 1) state.Query_state.computed
   in
-  let keys =
-    List.map
-      (fun (attr, dir) ->
-        (attr, match dir with Grouping.Asc -> `Asc | Grouping.Desc -> `Desc))
-      (Grouping.sort_keys (Spreadsheet.grouping sheet))
-  in
-  if keys = [] then plan else Sort (keys, plan)
+  match sort_keys grouping with [] -> plan | keys -> Sort (keys, plan)
 
 (* ---------- execution ---------- *)
 
 (* Every node has zero (Scan) or one child: a plan is a chain. The
-   per-node work is factored out of the recursion so [execute] and
-   [execute_instrumented] interpret each node with the same code. *)
+   per-node work lives in [run_streaming]/[run_blocking] below, so
+   [execute] and [execute_instrumented] run each node with the same
+   code. *)
 
 let child = function
   | Scan _ -> None
@@ -102,72 +96,6 @@ let child = function
   | Extend_aggregate (_, c)
   | Sort (_, c) ->
       Some c
-
-(* [apply_node node input] evaluates one node given its child's
-   result; [input] is [None] exactly for [Scan]. *)
-let apply_node node input =
-  let rel () =
-    match input with
-    | Some rel -> rel
-    | None -> invalid_arg "Plan.apply_node: inner node without input"
-  in
-  match node with
-  | Scan rel -> rel
-  | Project (cols, _) -> Rel_algebra.project cols (rel ())
-  | Filter (pred, _) -> Rel_algebra.select pred (rel ())
-  | Distinct_on (keys, _) ->
-      let rel = rel () in
-      let schema = Relation.schema rel in
-      let positions = List.map (Schema.index_exn schema) keys in
-      let seen = Hashtbl.create 64 in
-      let rows =
-        List.filter
-          (fun row ->
-            let key = Row.project row positions in
-            let h = Row.hash key in
-            let bucket =
-              Hashtbl.find_opt seen h |> Option.value ~default:[]
-            in
-            if List.exists (fun x -> Row.equal x key) bucket then false
-            else begin
-              Hashtbl.replace seen h (key :: bucket);
-              true
-            end)
-          (Relation.rows rel)
-      in
-      Relation.unsafe_make schema rows
-  | Extend_formula ({ name; ty; expr }, _) ->
-      let rel = rel () in
-      let schema = Relation.schema rel in
-      Rel_algebra.extend name ty
-        (fun row ->
-          Expr_eval.eval
-            ~lookup:(fun n -> Row.get row (Schema.index_exn schema n))
-            expr)
-        rel
-  | Extend_aggregate ({ agg_name; agg_ty; fn; arg; basis }, _) ->
-      let rel = rel () in
-      let schema = Relation.schema rel in
-      let positions = List.map (Schema.index_exn schema) basis in
-      let groups = Rel_algebra.group_rows basis rel in
-      let table = Hashtbl.create 32 in
-      List.iter
-        (fun (key, rows) ->
-          Hashtbl.add table (Row.hash key)
-            (key, Rel_algebra.aggregate_value rel rows fn arg))
-        groups;
-      Rel_algebra.extend agg_name agg_ty
-        (fun row ->
-          let key = Row.project row positions in
-          match
-            List.find_opt
-              (fun (k, _) -> Row.equal k key)
-              (Hashtbl.find_all table (Row.hash key))
-          with
-          | Some (_, v) -> v
-          | None -> Value.Null)
-        rel
-  | Sort (keys, _) -> Rel_algebra.sort keys (rel ())
 
 (* ---------- node labels (shared by explain / explain analyze) ---- *)
 
@@ -205,23 +133,24 @@ let node_kind = function
   | Extend_aggregate _ -> "extend-agg"
   | Sort _ -> "sort"
 
-let node_histogram node =
-  Obs.Histogram.histogram (Obs.h_plan_node_prefix ^ node_kind node)
+let record kind dt =
+  Obs.Histogram.record
+    (Obs.Histogram.histogram (Obs.h_plan_node_prefix ^ kind))
+    dt
 
-(* ---------- fused execution ----------
+(* ---------- execution ----------
 
-   [execute] does not interpret the chain node by node. It linearizes
-   the plan and compiles each maximal run of streaming nodes
-   (Filter / Project / Extend_formula) into per-row closures applied
-   in a single pass over the current row array — one intermediate
-   array per run instead of one per node. Blocking nodes
+   [execute] linearizes the plan and compiles each maximal run of
+   streaming nodes (Filter / Project / Extend_formula) into per-row
+   closures applied in a single pass over the current row array — one
+   intermediate array per run instead of one per node. Blocking nodes
    (Distinct_on, Extend_aggregate, Sort) cut a run: they need the
-   whole input, and run as one array operation each (hash tables
-   keyed on real row equality, pre-sized to the input; Sort orders an
-   index permutation). Per-node-kind histograms are still fed: a
-   fused pass records its duration under every node kind it
-   subsumes. [execute_instrumented] stays node-at-a-time so EXPLAIN
-   ANALYZE and the span-per-node contract keep exact self-times. *)
+   whole input and call Rel_algebra's one implementation of their
+   operator. Per-node-kind histograms are still fed: a fused pass
+   records its duration under every node kind it subsumes.
+   [execute_instrumented] runs the same two runners one node at a
+   time, so EXPLAIN ANALYZE times the code that serves requests with
+   exact self-times per node. *)
 
 let linearize node =
   let rec go acc = function
@@ -274,7 +203,7 @@ let is_streaming = function
   | Filter _ | Project _ | Extend_formula _ -> true
   | Scan _ | Distinct_on _ | Extend_aggregate _ | Sort _ -> false
 
-let run_streaming ~record ?rel nodes schema data =
+let run_streaming ?rel nodes schema data =
   (* When this run starts directly on a scan's relation, its leading
      Filter nodes can execute over the relation's Sheetcol image as
      compiled selection vectors. Checks run first (same Algebra_error
@@ -352,91 +281,33 @@ let run_streaming ~record ?rel nodes schema data =
   let dt = Obs.now_ns () - t0 in
   List.iter (fun node -> record (node_kind node) dt) nodes;
   Obs.Profile.note_node ~rows_in:n ~rows_out:(Array.length out) ~path:"fused"
-    ~kind:"run"
+    ~kind:(match nodes with [ node ] -> node_kind node | _ -> "run")
     ~label:(String.concat " + " (List.map node_label nodes))
     ~time_ns:dt
     ~alloc_bytes:(Gc.allocated_bytes () -. a0) ();
   (out_schema, out)
   end
 
-let run_blocking ~record node schema data =
+let run_blocking node schema data =
   let a0 = Gc.allocated_bytes () in
   let t0 = Obs.now_ns () in
-  let result =
+  let input = Relation.unsafe_of_array schema data in
+  let out =
     match node with
-    | Distinct_on (keys, _) ->
-        let positions =
-          Array.of_list (List.map (Schema.index_exn schema) keys)
-        in
-        let seen = Row.Tbl.create (max 16 (Array.length data)) in
-        let keep row =
-          let key = Row.project_arr row positions in
-          if Row.Tbl.mem seen key then false
-          else begin
-            Row.Tbl.add seen key ();
-            true
-          end
-        in
-        (schema, Vec.filter_array keep data)
+    | Distinct_on (keys, _) -> Rel_algebra.distinct_on keys input
     | Extend_aggregate ({ agg_name; agg_ty; fn; arg; basis }, _) ->
-        let positions =
-          Array.of_list (List.map (Schema.index_exn schema) basis)
-        in
-        let groups = Row.Tbl.create (max 16 (Array.length data)) in
-        Array.iter
-          (fun row ->
-            let key = Row.project_arr row positions in
-            match Row.Tbl.find_opt groups key with
-            | Some cell -> cell := row :: !cell
-            | None -> Row.Tbl.add groups key (ref [ row ]))
-          data;
-        let for_schema = Relation.empty schema in
-        let value_of = Row.Tbl.create (max 16 (Row.Tbl.length groups)) in
-        Row.Tbl.iter
-          (fun key cell ->
-            Row.Tbl.add value_of key
-              (Rel_algebra.aggregate_value for_schema (List.rev !cell) fn arg))
-          groups;
-        let out =
-          Array.map
-            (fun row ->
-              let key = Row.project_arr row positions in
-              let v =
-                match Row.Tbl.find_opt value_of key with
-                | Some v -> v
-                | None -> Value.Null
-              in
-              Row.append1 row v)
-            data
-        in
-        (Schema.append schema { Schema.name = agg_name; ty = agg_ty }, out)
-    | Sort (keys, _) ->
-        let positions =
-          List.map
-            (fun (name, dir) -> (Schema.index_exn schema name, dir))
-            keys
-        in
-        let compare_rows ra rb =
-          let rec go = function
-            | [] -> 0
-            | (i, dir) :: rest ->
-                let c = Value.compare (Row.get ra i) (Row.get rb i) in
-                let c = match dir with `Asc -> c | `Desc -> -c in
-                if c <> 0 then c else go rest
-          in
-          go positions
-        in
-        (schema, Vec.stable_sorted compare_rows data)
+        Rel_algebra.extend_aggregate agg_name agg_ty ~basis fn arg input
+    | Sort (keys, _) -> Rel_algebra.sort keys input
     | Scan _ | Filter _ | Project _ | Extend_formula _ ->
         invalid_arg "Plan.run_blocking: streaming node"
   in
   let dt = Obs.now_ns () - t0 in
   record (node_kind node) dt;
   Obs.Profile.note_node ~rows_in:(Array.length data)
-    ~rows_out:(Array.length (snd result)) ~path:"blocking"
+    ~rows_out:(Relation.cardinality out) ~path:"blocking"
     ~kind:(node_kind node) ~label:(node_label node) ~time_ns:dt
     ~alloc_bytes:(Gc.allocated_bytes () -. a0) ();
-  result
+  (Relation.schema out, Relation.to_array out)
 
 (* Run [f ()] inside a Sheetdoctor profile region and commit it with
    the result cardinality (or -1 when [f] raises). The attribution
@@ -454,11 +325,6 @@ let profiled ~kind ~uid f =
 
 let execute_raw node =
   let base, ops = linearize node in
-  let record kind dt =
-    Obs.Histogram.record
-      (Obs.Histogram.histogram (Obs.h_plan_node_prefix ^ kind))
-      dt
-  in
   let t0 = Obs.now_ns () in
   let schema = Relation.schema base in
   let data = Relation.to_array base in
@@ -474,10 +340,10 @@ let execute_raw node =
           | rest -> (List.rev acc, rest)
         in
         let run, rest = split [] ops in
-        let schema, data = run_streaming ~record ?rel run schema data in
+        let schema, data = run_streaming ?rel run schema data in
         go None schema data rest
     | n :: rest ->
-        let schema, data = run_blocking ~record n schema data in
+        let schema, data = run_blocking n schema data in
         go None schema data rest
   in
   let schema, data = go (Some base) schema data ops in
@@ -499,23 +365,39 @@ let rec instrumented_node node =
   (* the child runs first, outside this node's span, so [p_time_ns]
      and the span duration are self-time *)
   let below = Option.map instrumented_node (child node) in
-  let input = Option.map fst below in
-  let rows_in = match input with Some r -> Relation.cardinality r | None -> 0 in
+  let rows_in =
+    match below with Some ((_, _, data), _) -> Array.length data | None -> 0
+  in
   let sp = Obs.span ~kind:(node_kind node) "plan.node" in
-  let a0 = Gc.allocated_bytes () in
   let t0 = Obs.now_ns () in
-  let rel = apply_node node input in
+  let ((_, _, data) as out) =
+    match (node, below) with
+    | Scan rel, _ ->
+        let a0 = Gc.allocated_bytes () in
+        let data = Relation.to_array rel in
+        let dt = Obs.now_ns () - t0 in
+        record "scan" dt;
+        Obs.Profile.note_node ~rows_in ~rows_out:(Array.length data)
+          ~kind:"scan" ~label:(node_label node) ~time_ns:dt
+          ~alloc_bytes:(Gc.allocated_bytes () -. a0) ();
+        (Some rel, Relation.schema rel, data)
+    | _, Some ((rel, schema, data), _) ->
+        let schema, data =
+          if is_streaming node then
+            run_streaming ?rel [ node ] schema data
+          else run_blocking node schema data
+        in
+        (None, schema, data)
+    | _, None ->
+        invalid_arg "Plan.execute_instrumented: inner node without child"
+  in
   let dt = Obs.now_ns () - t0 in
-  Obs.Histogram.record (node_histogram node) dt;
-  let rows_out = Relation.cardinality rel in
+  let rows_out = Array.length data in
   Obs.Metrics.incr c_plan_nodes;
   Obs.Metrics.incr ~by:rows_in c_plan_rows_in;
   Obs.Metrics.incr ~by:rows_out c_plan_rows_out;
   Obs.finish ~rows_in ~rows_out sp;
-  Obs.Profile.note_node ~rows_in ~rows_out ~kind:(node_kind node)
-    ~label:(node_label node) ~time_ns:dt
-    ~alloc_bytes:(Gc.allocated_bytes () -. a0) ();
-  ( rel,
+  ( out,
     { p_label = node_label node;
       p_rows_out = rows_out;
       p_time_ns = dt;
@@ -524,9 +406,9 @@ let rec instrumented_node node =
 let execute_instrumented ?(uid = 0) node =
   Obs.Profile.enter ~kind:"plan" ~uid;
   match instrumented_node node with
-  | (rel, _) as res ->
-      Obs.Profile.commit ~rows_out:(Relation.cardinality rel);
-      res
+  | (_, schema, data), profile ->
+      Obs.Profile.commit ~rows_out:(Array.length data);
+      (Relation.unsafe_of_array schema data, profile)
   | exception e ->
       Obs.Profile.commit ~rows_out:(-1);
       raise e
@@ -681,8 +563,8 @@ let prune_conjuncts ~type_of conjs =
   for i = Array.length arr - 1 downto 0 do
     let rest = kept_except i in
     if
-      Expr_domain.tautology ~type_of arr.(i)
-      || (rest <> [] && Expr_domain.implies ~type_of (and_all rest) arr.(i))
+      Sheetsolve.tautology ~type_of arr.(i)
+      || (rest <> [] && Sheetsolve.implies ~type_of (and_all rest) arr.(i))
     then keep.(i) <- false
   done;
   Array.to_list arr |> List.filteri (fun j _ -> keep.(j))
@@ -694,7 +576,7 @@ let rec simplify_filters = function
       match Expr_simplify.simplify pred with
       | Expr.Const (Value.Bool true) -> c
       | pred ->
-          if not (Expr_domain.satisfiable ~type_of pred) then
+          if not (Sheetsolve.satisfiable ~type_of pred) then
             (* a provably-false filter: the whole subtree compiles to
                an empty scan of the same schema *)
             Scan (Relation.empty (output_schema c))

@@ -1,17 +1,19 @@
-(** Physical evaluation plans.
+(** Physical evaluation plans — the executor.
 
-    {!Materialize} interprets the query state directly; this module
-    compiles the same state into an explicit operator tree — the shape
-    in which the paper's prototype pushed manipulations down to its
-    RDBMS — so that it can be inspected ([explain], the REPL's
-    [explain] command), optimized, and compared against the
-    interpreter (property-tested equal).
+    Every materialization runs here: {!Materialize.full} executes
+    [of_sheet s], the semantic cache's subsumed hits execute
+    [Sort (keys, Filter (p, Scan cached))], and {!Incremental} appends
+    one node over a scan of the parent's materialization. The
+    compiled plan is the shape in which the paper's prototype pushed
+    manipulations down to its RDBMS, so it can also be inspected
+    ([explain], the REPL's [explain] command) and optimized.
 
-    The compiled plan mirrors the stratified replay exactly: filters
-    sit at their precedence stratum, aggregate extensions carry their
-    grouping basis, and a final sort realizes the recursive grouping.
-    {!optimize} then applies classical, semantics-preserving
-    rewrites:
+    {!of_sheet} holds the precedence strata (DESIGN.md §4): filters
+    sit at their stratum, aggregate extensions carry their grouping
+    basis, and a final sort realizes the recursive grouping. Blocking
+    nodes call the one implementation of their operator in
+    {!Sheet_rel.Rel_algebra}. {!optimize} applies classical,
+    semantics-preserving rewrites:
 
     - {e filter fusion}: adjacent filters merge into one conjunction
       (one pass over the data instead of several);
@@ -23,13 +25,13 @@
     - {e projection pruning}: when the consumer only needs some
       columns ([~keep]), a projection is pushed onto the scan and
       extensions whose outputs are never consumed are dropped;
-    - {e predicate pruning} (via {!Sheet_rel.Expr_domain}): a fused
+    - {e predicate pruning} (via {!Sheet_rel.Sheetsolve}): a fused
       filter proved unsatisfiable compiles its subtree to an empty
       scan of the right schema without reading a row, and conjuncts
       proved tautological or implied by the remaining conjuncts are
       dropped. Both proofs hold over every row (nulls included), so
-      {!execute} on the optimized plan still equals
-      {!Materialize.full} — property-tested. *)
+      {!execute} on the optimized plan still equals the reference
+      interpreter in [test/oracle.ml] — property-tested. *)
 
 open Sheet_rel
 
@@ -55,20 +57,32 @@ and extend_agg = {
 }
 
 val of_sheet : Spreadsheet.t -> node
-(** Compile the sheet's query state. Executing the result equals
-    {!Materialize.full}. *)
+(** Compile the sheet's query state: all columns (hidden ones
+    included), rows in presentation order. *)
+
+val sort_keys : Grouping.t -> (string * [ `Asc | `Desc ]) list
+(** {!Grouping.sort_keys} with the directions {!Sort} takes: the flat
+    ordering that emulates the recursive grouping. *)
+
+val extension : Grouping.t -> Computed.t -> node -> node
+(** The node that appends a computed column over the given plan
+    ([Extend_formula] or [Extend_aggregate] with the basis of the
+    column's group level under the given grouping). *)
 
 val execute : ?uid:int -> node -> Relation.t
 (** Run the plan. Opens a Sheetdoctor profile region (kind ["plan"],
-    keyed on [uid], default [0]) for the duration, so fused-run
-    extents, columnar-vs-row path attribution and counter deltas land
-    in {!Sheet_obs.Obs.Profile}. *)
+    keyed on [uid], default [0]; collapsed into an enclosing region
+    of the same uid) for the duration, so fused-run extents,
+    columnar-vs-row path attribution and counter deltas land in
+    {!Sheet_obs.Obs.Profile}. *)
 
 (** {2 Instrumented execution — EXPLAIN ANALYZE}
 
     A plan is a chain (every node has at most one child), so a profile
     mirrors that chain: per node, the label {!explain} would print,
-    the output cardinality, and self wall time (child excluded). *)
+    the output cardinality, and self wall time (child excluded). The
+    nodes run through the same code as {!execute}, one node at a
+    time instead of fused. *)
 
 type profile = {
   p_label : string;

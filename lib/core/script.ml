@@ -333,8 +333,8 @@ let run_line session line =
                 ("plan:\n" ^ Plan.explain plan ^ "optimized (for visible \
                   columns):\n" ^ Plan.explain optimized) }
     | "explain" (* analyze *) ->
-        (* the raw (unoptimized) plan mirrors the replay strata, so the
-           root's row count equals the full materialization's *)
+        (* the raw (unoptimized) plan is the one Materialize.full runs,
+           so the root's row count equals the full materialization's *)
         let sheet = Session.current session in
         let plan = Plan.of_sheet sheet in
         let _rel, _profile, text =

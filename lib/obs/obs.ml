@@ -757,11 +757,10 @@ let k_gc_heap = "gc.heap_words"
 (* Well-known histogram names. [h_engine_apply] counts every
    [Engine.apply] (per-kind series ride alongside under
    "engine.apply.<kind>", per-session ones under
-   "engine.apply{session=...}"); the plan interpreter records one
+   "engine.apply{session=...}"); the plan executor records one
    sample per node under "plan.node.<kind>". *)
 let h_engine_apply = "engine.apply"
 let h_materialize_full = "materialize.full"
-let h_materialize_stratum = "materialize.stratum"
 let h_incremental_derive = "incremental.derive"
 let h_plan_node_prefix = "plan.node."
 let h_sql_run = "sql.run"
@@ -784,8 +783,8 @@ let () =
       k_gc_promoted; k_gc_heap ];
   List.iter
     (fun k -> ignore (Histogram.histogram k))
-    [ h_engine_apply; h_materialize_full; h_materialize_stratum;
-      h_incremental_derive; h_sql_run; h_par_morsel ];
+    [ h_engine_apply; h_materialize_full; h_incremental_derive; h_sql_run;
+      h_par_morsel ];
   List.iter
     (fun kind -> ignore (Histogram.histogram (h_plan_node_prefix ^ kind)))
     [ "scan"; "project"; "filter"; "distinct"; "extend"; "extend-agg";

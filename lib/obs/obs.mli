@@ -4,9 +4,9 @@
 
     - {e span tracing}: [span]/[finish] bracket a unit of work with
       monotone-enough wall timings, nestable, tagged with the sheet
-      [uid] and an operator [kind]. The engine, the materializer's
-      replay strata, the incremental deriver, and every plan node are
-      bracketed this way.
+      [uid] and an operator [kind]. The engine, the materializer, the
+      incremental deriver, and (under EXPLAIN ANALYZE) every plan node
+      are bracketed this way.
     - {e metrics}: a process-wide registry of named counters, gauges
       and latency histograms (cache hits/misses, replays vs
       derivations, rows per plan node, undo/redo depth, GC activity,
@@ -324,11 +324,10 @@ end
 
 val h_engine_apply : string
 val h_materialize_full : string
-val h_materialize_stratum : string
 val h_incremental_derive : string
 
 val h_plan_node_prefix : string
-(** ["plan.node."] — the interpreter appends the node kind. *)
+(** ["plan.node."] — the executor appends the node kind. *)
 
 val h_sql_run : string
 

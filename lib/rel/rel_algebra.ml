@@ -4,11 +4,6 @@ exception Algebra_error of string
 
 let err fmt = Printf.ksprintf (fun s -> raise (Algebra_error s)) fmt
 
-let lookup_in schema row name = Row.get row (Schema.index_exn schema name)
-
-let eval_on (r : Relation.t) row e =
-  Expr_eval.eval ~lookup:(fun name -> lookup_in (Relation.schema r) row name) e
-
 let c_sel_in = Obs.Metrics.counter Obs.k_col_sel_rows_in
 let c_sel_out = Obs.Metrics.counter Obs.k_col_sel_rows_out
 
@@ -21,18 +16,13 @@ let c_sel_out = Obs.Metrics.counter Obs.k_col_sel_rows_out
       morsel filters an index selection vector through the compiled
       chain and gathers the surviving row pointers — no Value boxing,
       no per-row name resolution.
-   2. Row fallback: predicates are applied predicate-major (the whole
-      array through pred 1, then pred 2, ...) with each pass split
-      into morsels. This is exactly the historical semantics, error
-      order included: a pass raises at its first failing row before
-      any later predicate runs.
+   2. Row fallback: one pass over the array split into morsels; a
+      pass raises at its first failing row.
    3. Both cut over to a single sequential morsel below the Par
       threshold.
 
-   [select_rows] is the shared driver; Materialize's stratified
-   replay and the subsumption-serving re-filter call it with the
-   relation whose array they are filtering, so they ride the same
-   columnar path. *)
+   [select] tries them in order; the plan executor's filter runs call
+   [columnar_filter] on a scan's relation directly. *)
 
 let compile_columnar (r : Relation.t) preds =
   match Relation.columnar_hot r with
@@ -130,35 +120,15 @@ let filter_pass schema pred (data : Row.t array) =
          done;
          if !k = hi - lo then buf else Array.sub buf 0 !k))
 
-let select_rows ?rel schema preds (data : Row.t array) =
-  match preds with
-  | [] -> data
-  | _ -> (
-      let columnar =
-        match rel with
-        | Some r when Relation.to_array r == data -> columnar_filter r preds
-        | _ ->
-            (* no relation handle (or a derived row array): the
-               columnar image cannot serve this scan at all *)
-            if Obs.Profile.in_region () then
-              List.iter
-                (fun p ->
-                  Obs.Profile.note_fallback ~pred:(Expr.to_string p)
-                    ~reason:"detached row array")
-                preds;
-            None
-      in
-      match columnar with
-      | Some out -> out
-      | None -> List.fold_left (fun d p -> filter_pass schema p d) data preds)
-
 let select pred (r : Relation.t) =
   let schema = Relation.schema r in
   (match Expr_check.check_pred schema pred with
   | Ok () -> ()
   | Error msg -> err "selection: %s" msg);
   Relation.unsafe_of_array schema
-    (select_rows ~rel:r schema [ pred ] (Relation.to_array r))
+    (match columnar_filter r [ pred ] with
+    | Some out -> out
+    | None -> filter_pass schema pred (Relation.to_array r))
 
 let project names (r : Relation.t) =
   let rschema = Relation.schema r in
@@ -328,17 +298,28 @@ let equijoin ~on:(left_col, right_col) (a : Relation.t) (b : Relation.t) =
     (if !k = Array.length !scratch then !scratch
      else Array.sub !scratch 0 !k)
 
-let distinct (r : Relation.t) =
+(* First occurrence of each [key_of row] survives, in input order. *)
+let dedup key_of (r : Relation.t) =
   let data = Relation.to_array r in
   let seen = Row.Tbl.create (max 16 (Array.length data)) in
   let keep row =
-    if Row.Tbl.mem seen row then false
+    let key = key_of row in
+    if Row.Tbl.mem seen key then false
     else begin
-      Row.Tbl.add seen row ();
+      Row.Tbl.add seen key ();
       true
     end
   in
   Relation.unsafe_of_array (Relation.schema r) (Vec.filter_array keep data)
+
+let positions_of (r : Relation.t) cols =
+  Array.of_list (List.map (Schema.index_exn (Relation.schema r)) cols)
+
+let distinct r = dedup Fun.id r
+
+let distinct_on cols r =
+  let positions = positions_of r cols in
+  dedup (fun row -> Row.project_arr row positions) r
 
 let sort keys (r : Relation.t) =
   let positions =
@@ -403,11 +384,7 @@ let extend name ty f (r : Relation.t) =
         (Columnar.append_col view (Column.of_values cells))
   | None -> Relation.unsafe_of_array schema out
 
-let group_rows cols (r : Relation.t) =
-  let positions =
-    Array.of_list (List.map (Schema.index_exn (Relation.schema r)) cols)
-  in
-  let data = Relation.to_array r in
+let partition positions (data : Row.t array) =
   let tbl = Row.Tbl.create (max 16 (Array.length data)) in
   let order = Vec.create () in
   Array.iter
@@ -420,14 +397,34 @@ let group_rows cols (r : Relation.t) =
           Row.Tbl.add tbl key cell;
           Vec.push order (key, cell))
     data;
-  Array.to_list
-    (Array.map (fun (key, cell) -> (key, List.rev !cell)) (Vec.to_array order))
+  Array.map (fun (key, cell) -> (key, List.rev !cell)) (Vec.to_array order)
 
-let aggregate_value (r : Relation.t) group_rows g arg =
+let group_rows cols (r : Relation.t) =
+  Array.to_list (partition (positions_of r cols) (Relation.to_array r))
+
+let aggregate index group_rows g arg =
   let values =
     match (g, arg) with
     | Expr.Count_star, _ -> List.map (fun _ -> Value.Null) group_rows
-    | _, Some e -> List.map (fun row -> eval_on r row e) group_rows
+    | _, Some e ->
+        List.map
+          (fun row ->
+            Expr_eval.eval ~lookup:(fun name -> Row.get row (index name)) e)
+          group_rows
     | _, None -> err "aggregate %s needs an argument" (Expr.agg_fun_name g)
   in
   Expr_eval.apply_agg g values
+
+let extend_aggregate name ty ~basis g arg (r : Relation.t) =
+  let positions = positions_of r basis in
+  let index = Schema.compile_index (Relation.schema r) in
+  let groups = partition positions (Relation.to_array r) in
+  let value_of = Row.Tbl.create (max 16 (Array.length groups)) in
+  Array.iter
+    (fun (key, rows) ->
+      Row.Tbl.replace value_of key (aggregate index rows g arg))
+    groups;
+  (* lookups only: the table is shared read-only across morsels *)
+  extend name ty
+    (fun row -> Row.Tbl.find value_of (Row.project_arr row positions))
+    r

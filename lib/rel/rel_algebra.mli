@@ -3,8 +3,9 @@
     These are the relational counterparts (subscript "r" in the paper)
     that the spreadsheet operators are defined against: selection
     [σ_r], projection [π_r], product [×_r], union [∪_r], difference
-    [−_r], join [⋈_r], plus sorting, duplicate elimination and
-    grouped aggregation used by the SQL executor. *)
+    [−_r], join [⋈_r], plus the sorting, duplicate elimination and
+    grouped aggregation that the plan executor and the SQL executor
+    share. *)
 
 exception Algebra_error of string
 
@@ -14,15 +15,6 @@ val select : Expr.t -> Relation.t -> Relation.t
     Sheetcol image, morsel-parallel) when the predicate compiles,
     with a row-at-a-time fallback that is observationally identical.
     @raise Algebra_error on an ill-typed predicate. *)
-
-val select_rows :
-  ?rel:Relation.t -> Schema.t -> Expr.t list -> Row.t array -> Row.t array
-(** Filter a row array through the predicates in order,
-    predicate-major (the whole array through the first predicate,
-    then the next), each pass morselized. When [rel] is given and
-    [Relation.to_array rel] is [data] itself, predicates that compile
-    run over [rel]'s columnar image instead. No type checking — for
-    replay paths whose predicates were validated at op time. *)
 
 val columnar_filter : Relation.t -> Expr.t list -> Row.t array option
 (** The columnar strategy alone: [Some] surviving rows (originals, in
@@ -71,15 +63,29 @@ val extend : string -> Value.vtype -> (Row.t -> Value.t) -> Relation.t
     columnar image is already built, the output image is primed with
     the new column). *)
 
+val distinct_on : string list -> Relation.t -> Relation.t
+(** Duplicate elimination keyed on the named columns: the first row of
+    each key survives whole (other columns included), in input order.
+    {!distinct} is the same keyed on every column. *)
+
+val partition : int array -> Row.t array -> (Row.t * Row.t list) array
+(** Partition rows by equality on the columns at the given positions.
+    Each element is (key row restricted to those columns, rows of the
+    group in input order); groups appear in first-occurrence order. *)
+
 val group_rows : string list -> Relation.t -> (Row.t * Row.t list) list
-(** Partition rows by equality on the given columns. Each element is
-    (representative key row restricted to the grouping columns, rows
-    of the group); groups appear in first-occurrence order. *)
+(** {!partition} on named columns. *)
 
-val eval_on : Relation.t -> Row.t -> Expr.t -> Value.t
-(** Evaluate an aggregate-free expression on one row of the relation. *)
+val aggregate :
+  (string -> int) -> Row.t list -> Expr.agg_fun -> Expr.t option -> Value.t
+(** [aggregate index rows f arg]: [f(arg)] over a group's rows, with
+    [index] resolving column names to positions
+    ({!Schema.compile_index}); [Count_star] ignores the argument.
+    @raise Algebra_error when another aggregate has no argument. *)
 
-val aggregate_value : Relation.t -> Row.t list -> Expr.agg_fun ->
-  Expr.t option -> Value.t
-(** Aggregate [f(arg)] over a set of rows of the relation;
-    [Count_star] ignores the argument. *)
+val extend_aggregate :
+  string -> Value.vtype -> basis:string list -> Expr.agg_fun ->
+  Expr.t option -> Relation.t -> Relation.t
+(** Append an aggregate column: each row gets [f(arg)] over the rows
+    sharing its [basis] values (Table III: the group's value repeated
+    on every member); an empty [basis] is one group over everything. *)

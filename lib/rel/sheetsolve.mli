@@ -1,8 +1,9 @@
 (** Sheetsolve — a small, reusable predicate solver over the
     spreadsheet expression language.
 
-    This is {!Expr_domain}'s interval abstraction promoted into a
-    standalone module: each conjunct of a bounded DNF is abstracted
+    The reasoning engine behind Sheetlint, the plan optimizer's
+    predicate pruning and the semantic cache's subsumption checks:
+    each conjunct of a bounded DNF is abstracted
     into one normalized {!constr} per column — an over-approximating
     {!Interval.t} over the non-null values, a finite set of
     {e excluded} values (so equality/disequality atoms like

@@ -18,16 +18,10 @@ let eval_plain index row e =
   Expr_eval.eval ~lookup:(fun name -> Row.get row (index name)) e
 
 let eval_with_group index group_rows row e =
-  let agg fn arg =
-    let values =
-      match (fn, arg) with
-      | Expr.Count_star, _ -> List.map (fun _ -> Value.Null) group_rows
-      | _, Some a -> List.map (fun r -> eval_plain index r a) group_rows
-      | _, None -> failwith "aggregate without argument"
-    in
-    Expr_eval.apply_agg fn values
-  in
-  Expr_eval.eval ~lookup:(fun name -> Row.get row (index name)) ~agg e
+  Expr_eval.eval
+    ~lookup:(fun name -> Row.get row (index name))
+    ~agg:(Rel_algebra.aggregate index group_rows)
+    e
 
 let c_executions =
   Sheet_obs.Obs.Metrics.counter Sheet_obs.Obs.k_sql_executions
@@ -111,24 +105,7 @@ let run catalog (q : Sql_ast.query) =
           (* aggregates without GROUP BY: one group over everything,
              even when empty *)
           [ (Row.of_list [], Array.to_list rows) ]
-        else begin
-          let tbl = Row.Tbl.create (max 16 (Array.length rows)) in
-          let order = Vec.create () in
-          Array.iter
-            (fun row ->
-              let key = Row.project_arr row positions in
-              match Row.Tbl.find_opt tbl key with
-              | Some cell -> cell := row :: !cell
-              | None ->
-                  let cell = ref [ row ] in
-                  Row.Tbl.add tbl key cell;
-                  Vec.push order (key, cell))
-            rows;
-          Array.to_list
-            (Array.map
-               (fun (k, cell) -> (k, List.rev !cell))
-               (Vec.to_array order))
-        end
+        else Array.to_list (Rel_algebra.partition positions rows)
       in
       let out = Vec.create () in
       List.iter

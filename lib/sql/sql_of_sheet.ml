@@ -190,15 +190,60 @@ let compile ~table (sheet : Spreadsheet.t) =
                 (fun c -> (not (is_computed c)) && not (List.mem c group_by))
                 visible
           in
-          match bad_visible with
-          | Some c ->
+          (* The sheet's duplicate elimination keys on the visible base
+             columns before any computed column exists; SELECT
+             DISTINCT keys on the select list, after WHERE and after
+             GROUP BY. They agree only when no aggregate has to see
+             the deduplicated rows and every computed column shown or
+             filtered on reads visible base columns alone. *)
+          let visible_base =
+            List.filter (fun c -> not (is_computed c)) visible
+          in
+          let reads_hidden e =
+            match resolve_expr computed e with
+            | Ok e ->
+                List.exists
+                  (fun c -> not (List.mem c visible_base))
+                  (Expr.columns e)
+            | Error _ -> false
+          in
+          let dedup_reads =
+            List.filter_map
+              (fun c -> if is_computed c then Some (Expr.Col c) else None)
+              visible
+            @ List.filter_map
+                (fun (s : Query_state.selection) ->
+                  let p = s.Query_state.pred in
+                  if List.exists is_computed (Expr.columns p) then Some p
+                  else None)
+                state.Query_state.selections
+          in
+          let bad_dedup =
+            if not state.Query_state.dedup then None
+            else if List.exists Computed.is_aggregate computed then
+              Some
+                "aggregates see the rows left by duplicate elimination; \
+                 SQL needs a nested SELECT DISTINCT"
+            else
+              Option.map
+                (fun e ->
+                  Printf.sprintf
+                    "duplicate elimination keys on the visible base \
+                     columns, but %s reads a hidden one; SELECT DISTINCT \
+                     would key on its value"
+                    (Expr.to_string e))
+                (List.find_opt reads_hidden dedup_reads)
+          in
+          match (bad_visible, bad_dedup) with
+          | Some c, _ ->
               err
                 (Printf.sprintf
                    "column %s is neither grouped nor aggregated; the \
                     sheet shows it per row, SQL would collapse it \
                     (project it out first)"
                    c)
-          | None -> (
+          | None, Some reason -> err reason
+          | None, None -> (
               let select_items = ref [] in
               let select_error = ref None in
               List.iter
@@ -220,16 +265,11 @@ let compile ~table (sheet : Spreadsheet.t) =
                   let order_by =
                     List.filter_map
                       (fun (attr, dir) ->
-                        let dir =
-                          match dir with
-                          | Grouping.Asc -> `Asc
-                          | Grouping.Desc -> `Desc
-                        in
                         match resolve_expr computed (Expr.Col attr) with
                         | Ok expr when List.mem attr visible ->
                             Some { Sql_ast.expr; dir }
                         | _ -> None)
-                      (Grouping.sort_keys grouping)
+                      (Plan.sort_keys grouping)
                   in
                   Ok
                     { Sql_ast.distinct =

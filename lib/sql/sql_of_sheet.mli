@@ -16,7 +16,10 @@
     levels, selections reading formula-over-aggregate chains deeper
     than one inlining pass can flatten, grouped sheets with visible
     non-grouped base columns (the sheet shows every row; SQL would
-    collapse them) — yield [`Not_single_block reason]. *)
+    collapse them), duplicate elimination under aggregates or with a
+    shown or filtered computed column that reads a hidden column (the
+    sheet keys on the visible base columns, DISTINCT on the select
+    list) — yield [`Not_single_block reason]. *)
 
 open Sheet_core
 

@@ -70,11 +70,11 @@ order delta desc level 2|}
   Alcotest.(check int) "complement after modification" (29 - below)
     (cardinality s);
 
-  (* the compiled plan agrees with the interpreter at every step *)
-  Alcotest.(check bool) "plan == interpreter" true
-    (Relation.equal
+  (* the executor agrees with the reference interpreter *)
+  Alcotest.(check bool) "plan == oracle" true
+    (Oracle.same
        (Plan.execute (Plan.of_sheet (Session.current s)))
-       (Materialize.full (Session.current s)));
+       (Oracle.full (Session.current s)));
 
   (* persist, reload, continue *)
   let path = Filename.temp_file "musiq_integration" ".sheet" in

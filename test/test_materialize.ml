@@ -1,5 +1,5 @@
-(* Edge-case tests of the materialization semantics: stratified
-   replay, HAVING non-retroactivity, aggregation levels, NULLs in
+(* Edge-case tests of the materialization semantics: precedence
+   strata, HAVING non-retroactivity, aggregation levels, NULLs in
    groups, empty relations, group boundaries. *)
 
 open Sheet_rel

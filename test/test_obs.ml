@@ -2,8 +2,9 @@
    returns, and what it records must be well formed.
 
    - with the sink off (the default), [Plan.execute_instrumented]
-     equals [Plan.execute] equals [Materialize.full] on random query
-     states (the generator style of test_props.ml);
+     equals [Plan.execute] equals the reference interpreter
+     (oracle.ml) on random query states (the generator style of
+     test_props.ml);
    - the same with the Memory sink on, plus: spans balanced, properly
      nested, and interval-consistent;
    - counters are monotone across work; gauges are not counters;
@@ -128,6 +129,7 @@ let instrumented_equals_plain_off =
       let rel, profile = Plan.execute_instrumented plan in
       Relation.equal rel plain
       && Relation.equal rel (Materialize.full sheet)
+      && Oracle.same rel (Oracle.full sheet)
       && profile.Plan.p_rows_out = Relation.cardinality rel)
 
 let instrumented_equals_plain_memory =
@@ -139,7 +141,7 @@ let instrumented_equals_plain_memory =
       Obs.clear_events ();
       let plan = Plan.of_sheet sheet in
       let rel, _profile = Plan.execute_instrumented plan in
-      let ok_result = Relation.equal rel (Materialize.full sheet) in
+      let ok_result = Oracle.same rel (Oracle.full sheet) in
       ok_result
       && Obs.open_spans () = 0
       && Obs.nesting_ok ()

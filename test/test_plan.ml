@@ -44,8 +44,8 @@ let is_project = function Plan.Project _ -> true | _ -> false
 let test_compile_equals_materialize () =
   let sheet = rich_sheet () in
   let plan = Plan.of_sheet sheet in
-  Alcotest.(check bool) "plan == interpreter" true
-    (Relation.equal (Plan.execute plan) (Materialize.full sheet))
+  Alcotest.(check bool) "plan == oracle" true
+    (Oracle.same (Plan.execute plan) (Oracle.full sheet))
 
 let test_optimize_preserves () =
   let sheet = rich_sheet () in
@@ -64,9 +64,9 @@ let test_optimize_for_visible () =
   let plan = Plan.of_sheet sheet in
   let optimized = Plan.optimize ~keep:visible plan in
   Alcotest.(check bool) "visible projection preserved" true
-    (Relation.equal
+    (Oracle.same
        (Rel_algebra.project visible (Plan.execute optimized))
-       (Materialize.visible sheet));
+       (Oracle.visible sheet));
   (* the hidden, unused Mileage column is pruned at the scan *)
   Alcotest.(check bool) "scan projected" true
     (count is_project optimized >= 1)
@@ -119,7 +119,7 @@ let test_pushdown_blocked_by_aggregate () =
   Alcotest.(check bool) "result preserved" true
     (Relation.equal
        (Relation.normalize (Plan.execute optimized))
-       (Relation.normalize (Materialize.full sheet)))
+       (Relation.normalize (Oracle.full sheet)))
 
 let test_pushdown_through_formula () =
   let sheet =
@@ -185,8 +185,8 @@ let test_dedup_distinct_on () =
       [ Op.Project "ID"; Op.Dedup ]
   in
   let plan = Plan.of_sheet sheet in
-  Alcotest.(check bool) "plan == interpreter under partial dedup keys" true
-    (Relation.equal (Plan.execute plan) (Materialize.full sheet))
+  Alcotest.(check bool) "plan == oracle under partial dedup keys" true
+    (Oracle.same (Plan.execute plan) (Oracle.full sheet))
 
 let () =
   Alcotest.run "sheet_plan"

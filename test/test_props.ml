@@ -592,9 +592,7 @@ let plan_equals_interpreter =
     ~name:"plan: compile/execute equals the interpreter"
     (QCheck.make gen_sheet_with_state)
     (fun sheet ->
-      Relation.equal
-        (Plan.execute (Plan.of_sheet sheet))
-        (Materialize.full sheet))
+      Oracle.same (Plan.execute (Plan.of_sheet sheet)) (Oracle.full sheet))
 
 (* States seeded with selections the analyzer can prove degenerate:
    contradictory pairs, subsumed pairs, tautologies, empty ranges. The
@@ -650,9 +648,9 @@ let plan_pruning_preserves =
     ~name:"plan: analysis-driven pruning preserves semantics"
     (QCheck.make gen_sheet_with_conflicts)
     (fun sheet ->
-      Relation.equal
+      Oracle.same
         (Plan.execute (Plan.optimize (Plan.of_sheet sheet)))
-        (Materialize.full sheet))
+        (Oracle.full sheet))
 
 let domain_unsat_sound =
   QCheck.Test.make ~count:1000
@@ -665,7 +663,7 @@ let domain_unsat_sound =
           return (rel, p)))
     (fun (rel, p) ->
       match
-        Expr_domain.check ~type_of:(Schema.type_of Sample_cars.schema) p
+        Sheetsolve.check ~type_of:(Schema.type_of Sample_cars.schema) p
       with
       | `Maybe -> true
       | `Unsat _ -> Relation.cardinality (Rel_algebra.select p rel) = 0)
@@ -678,9 +676,9 @@ let plan_optimize_preserves =
       let plan = Plan.of_sheet sheet in
       let keep = Spreadsheet.visible_columns sheet in
       let optimized = Plan.optimize ~keep plan in
-      Relation.equal
+      Oracle.same
         (Rel_algebra.project keep (Plan.execute optimized))
-        (Materialize.visible sheet))
+        (Oracle.visible sheet))
 
 (* ---------- incremental materialization ---------- *)
 
@@ -708,13 +706,9 @@ let incremental_consistency =
             | Error _ -> session)
           session ops
       in
-      let cached = Session.materialized session in
-      let fresh =
-        Rel_algebra.project
-          (Spreadsheet.visible_columns (Session.current session))
-          (Materialize.full (Session.current session))
-      in
-      Relation.equal cached fresh)
+      Relation.equal
+        (Session.materialized session)
+        (Oracle.visible (Session.current session)))
 
 (* ---------- Theorem 1 on random SQL ---------- *)
 

@@ -158,10 +158,24 @@ hide Price
 hide Mileage
 hide Condition|}
   in
-  match compile_current s3 with
+  (match compile_current s3 with
   | Error reason ->
       Alcotest.(check bool) "mentions level" true (contains reason "level")
-  | Ok sql -> Alcotest.failf "unexpectedly compiled: %s" sql
+  | Ok sql -> Alcotest.failf "unexpectedly compiled: %s" sql);
+  (* duplicate elimination keys on the visible base columns: a shown
+     formula over a hidden column, or an aggregate over the surviving
+     rows, cannot be a SELECT DISTINCT *)
+  List.iter
+    (fun script ->
+      match compile_current (session_with script) with
+      | Error reason ->
+          Alcotest.(check bool) "mentions duplicate elimination" true
+            (contains reason "duplicate elimination")
+      | Ok sql -> Alcotest.failf "unexpectedly compiled: %s" sql)
+    [ "hide ID\nhide Price\nhide Mileage\ndedup\nformula fc = Year + 3\n\
+       hide Year";
+      "hide ID\nhide Price\nhide Year\nhide Mileage\ndedup\n\
+       group Model asc\nagg count as n\nhide Condition" ]
 
 let round_trip sql_text =
   let cat = catalog () in
