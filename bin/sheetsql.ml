@@ -92,8 +92,8 @@ let run_sql catalog sql =
   | Error msg -> Printf.printf "error: %s\n" msg);
   if !timing then Printf.printf "Time: %.3f ms\n" ms
 
-(* \profile: Theorem-1 translation, then the plan interpreter with
-   per-node instrumentation — the SQL shell's EXPLAIN ANALYZE. *)
+(* \profile: Theorem-1 translation, then the served plan run and the
+   profile it recorded — the SQL shell's EXPLAIN ANALYZE. *)
 let profile_sql catalog sql =
   match Sql_parser.parse sql with
   | Error msg -> Printf.printf "parse error: %s\n" msg
@@ -105,12 +105,15 @@ let profile_sql catalog sql =
           | Error msg -> Printf.printf "error: %s\n" msg
           | Ok session ->
               let sheet = Sheet_core.Session.current session in
-              let _rel, _profile, text =
-                Sheet_core.Plan.explain_analyze
-                  ~uid:sheet.Sheet_core.Spreadsheet.uid
-                  (Sheet_core.Plan.of_sheet sheet)
-              in
-              print_string text))
+              match
+                snd
+                  (Sheet_core.Plan.explain_analyze
+                     ~uid:sheet.Sheet_core.Spreadsheet.uid
+                     (Sheet_core.Plan.of_sheet sheet))
+              with
+              | Some r ->
+                  print_endline (Sheet_obs.Obs.Profile.render_record r)
+              | None -> print_endline "profile collection is disabled"))
 
 let translate_and_run catalog sql =
   match Sql_parser.parse sql with

@@ -65,34 +65,28 @@ let materialize_after ~parent ~op ~child =
      parent through [Materialize.full_cached] opens (and commits) its
      own region for the parent's uid, while the fallback
      [Materialize.full child] collapses into this one. *)
-  Obs.Profile.enter ~kind:"incremental" ~uid:child.Spreadsheet.uid;
-  let commit rel = Obs.Profile.commit ~rows_out:(Relation.cardinality rel) in
-  match
-    let sp =
-      Obs.span ~uid:child.Spreadsheet.uid ~kind:(Op.kind op)
-        "incremental.materialize_after"
-    in
-    let t0 = Obs.now_ns () in
-    let rel =
-      match derive ~parent ~op ~child with
-      | Some rel ->
-          Obs.Metrics.incr c_derivations;
-          Obs.Histogram.record h_derive (Obs.now_ns () - t0);
-          Obs.Profile.note_strategy "incremental";
-          rel
-      | None ->
-          Obs.Metrics.incr c_fallbacks;
-          Materialize.full child
-    in
-    Materialize.seed_cache child rel;
-    Obs.finish
-      ~rows_out:(if Obs.recording () then Relation.cardinality rel else -1)
-      sp;
-    rel
-  with
-  | rel ->
-      commit rel;
-      rel
-  | exception e ->
-      Obs.Profile.commit ~rows_out:(-1);
-      raise e
+  fst
+  @@ Obs.Profile.region ~kind:"incremental" ~uid:child.Spreadsheet.uid
+       ~rows_out:Relation.cardinality
+  @@ fun () ->
+  let sp =
+    Obs.span ~uid:child.Spreadsheet.uid ~kind:(Op.kind op)
+      "incremental.materialize_after"
+  in
+  let t0 = Obs.now_ns () in
+  let rel =
+    match derive ~parent ~op ~child with
+    | Some rel ->
+        Obs.Metrics.incr c_derivations;
+        Obs.Histogram.record h_derive (Obs.now_ns () - t0);
+        Obs.Profile.note_strategy "incremental";
+        rel
+    | None ->
+        Obs.Metrics.incr c_fallbacks;
+        Materialize.full child
+  in
+  Materialize.seed_cache child rel;
+  Obs.finish
+    ~rows_out:(if Obs.recording () then Relation.cardinality rel else -1)
+    sp;
+  rel

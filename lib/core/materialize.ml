@@ -10,19 +10,13 @@ let c_seeds = Obs.Metrics.counter Obs.k_cache_seeds
 let c_full_replays = Obs.Metrics.counter Obs.k_full_replays
 let h_full = Obs.Histogram.histogram Obs.h_materialize_full
 
-(* Run [f ()] inside a Sheetdoctor profile region keyed on the sheet's
-   uid; when an enclosing region already covers the same uid (e.g.
-   [full] reached through a [full_cached] miss) the nested enter is
-   collapsed so one request yields one record. *)
+(* A Sheetdoctor profile region keyed on the sheet's uid; [full]
+   reached through a [full_cached] miss collapses into the miss's
+   region, so one request yields one record. *)
 let profiled ~uid f =
-  Obs.Profile.enter ~kind:"materialize" ~uid;
-  match f () with
-  | rel ->
-      Obs.Profile.commit ~rows_out:(Relation.cardinality rel);
-      rel
-  | exception e ->
-      Obs.Profile.commit ~rows_out:(-1);
-      raise e
+  fst
+    (Obs.Profile.region ~kind:"materialize" ~uid
+       ~rows_out:Relation.cardinality f)
 
 let full (sheet : Spreadsheet.t) =
   let uid = sheet.Spreadsheet.uid in

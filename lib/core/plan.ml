@@ -1,10 +1,6 @@
 open Sheet_rel
 module Obs = Sheet_obs.Obs
 
-let c_plan_nodes = Obs.Metrics.counter Obs.k_plan_nodes
-let c_plan_rows_in = Obs.Metrics.counter Obs.k_plan_rows_in
-let c_plan_rows_out = Obs.Metrics.counter Obs.k_plan_rows_out
-
 type node =
   | Scan of Relation.t
   | Project of string list * node
@@ -82,10 +78,7 @@ let of_sheet (sheet : Spreadsheet.t) =
 
 (* ---------- execution ---------- *)
 
-(* Every node has zero (Scan) or one child: a plan is a chain. The
-   per-node work lives in [run_streaming]/[run_blocking] below, so
-   [execute] and [execute_instrumented] run each node with the same
-   code. *)
+(* Every node has zero (Scan) or one child: a plan is a chain. *)
 
 let child = function
   | Scan _ -> None
@@ -133,10 +126,26 @@ let node_kind = function
   | Extend_aggregate _ -> "extend-agg"
   | Sort _ -> "sort"
 
-let record kind dt =
-  Obs.Histogram.record
-    (Obs.Histogram.histogram (Obs.h_plan_node_prefix ^ kind))
-    dt
+(* Everything one run leaves behind: [nodes] ran as one pass that
+   started at [t0] with [a0] bytes allocated. Each node kind gets one
+   [plan.node.<kind>] sample of the whole pass; the profile gets one
+   node whose label joins the nodes' labels with " + " (a fused run is
+   what executed, so EXPLAIN ANALYZE shows it as one line); a
+   recording sink gets one [plan.node] event. *)
+let observe ?(path = "") ~rows_in ~rows_out ~t0 ~a0 nodes =
+  let dt = Obs.now_ns () - t0 in
+  List.iter
+    (fun node ->
+      Obs.Histogram.record
+        (Obs.Histogram.histogram (Obs.h_plan_node_prefix ^ node_kind node))
+        dt)
+    nodes;
+  let kind = match nodes with [ node ] -> node_kind node | _ -> "run" in
+  Obs.Profile.note_node ~rows_in ~rows_out ~path ~kind
+    ~label:(String.concat " + " (List.map node_label nodes))
+    ~time_ns:dt
+    ~alloc_bytes:(Gc.allocated_bytes () -. a0) ();
+  Obs.emit ~kind ~rows_in ~rows_out ~start_ns:t0 ~dur_ns:dt "plan.node"
 
 (* ---------- execution ----------
 
@@ -146,11 +155,7 @@ let record kind dt =
    intermediate array per run instead of one per node. Blocking nodes
    (Distinct_on, Extend_aggregate, Sort) cut a run: they need the
    whole input and call Rel_algebra's one implementation of their
-   operator. Per-node-kind histograms are still fed: a fused pass
-   records its duration under every node kind it subsumes.
-   [execute_instrumented] runs the same two runners one node at a
-   time, so EXPLAIN ANALYZE times the code that serves requests with
-   exact self-times per node. *)
+   operator. Every run, and the scan, is reported through [observe]. *)
 
 let linearize node =
   let rec go acc = function
@@ -230,13 +235,8 @@ let run_streaming ?rel nodes schema data =
           let t0 = Obs.now_ns () in
           match Rel_algebra.columnar_filter r preds with
           | Some out ->
-              let dt = Obs.now_ns () - t0 in
-              List.iter (fun node -> record (node_kind node) dt) consumed;
-              Obs.Profile.note_node ~rows_in:(Array.length data)
-                ~rows_out:(Array.length out) ~path:"columnar" ~kind:"filter"
-                ~label:(String.concat " + " (List.map node_label consumed))
-                ~time_ns:dt
-                ~alloc_bytes:(Gc.allocated_bytes () -. a0) ();
+              observe ~path:"columnar" ~rows_in:(Array.length data)
+                ~rows_out:(Array.length out) ~t0 ~a0 consumed;
               (rest, out)
           | None -> (nodes, data)
         end)
@@ -278,13 +278,8 @@ let run_streaming ?rel nodes schema data =
            done;
            if !k = hi - lo then buf else Array.sub buf 0 !k))
   in
-  let dt = Obs.now_ns () - t0 in
-  List.iter (fun node -> record (node_kind node) dt) nodes;
-  Obs.Profile.note_node ~rows_in:n ~rows_out:(Array.length out) ~path:"fused"
-    ~kind:(match nodes with [ node ] -> node_kind node | _ -> "run")
-    ~label:(String.concat " + " (List.map node_label nodes))
-    ~time_ns:dt
-    ~alloc_bytes:(Gc.allocated_bytes () -. a0) ();
+  observe ~path:"fused" ~rows_in:n ~rows_out:(Array.length out) ~t0 ~a0
+    nodes;
   (out_schema, out)
   end
 
@@ -301,34 +296,18 @@ let run_blocking node schema data =
     | Scan _ | Filter _ | Project _ | Extend_formula _ ->
         invalid_arg "Plan.run_blocking: streaming node"
   in
-  let dt = Obs.now_ns () - t0 in
-  record (node_kind node) dt;
-  Obs.Profile.note_node ~rows_in:(Array.length data)
-    ~rows_out:(Relation.cardinality out) ~path:"blocking"
-    ~kind:(node_kind node) ~label:(node_label node) ~time_ns:dt
-    ~alloc_bytes:(Gc.allocated_bytes () -. a0) ();
+  observe ~path:"blocking" ~rows_in:(Array.length data)
+    ~rows_out:(Relation.cardinality out) ~t0 ~a0 [ node ];
   (Relation.schema out, Relation.to_array out)
-
-(* Run [f ()] inside a Sheetdoctor profile region and commit it with
-   the result cardinality (or -1 when [f] raises). The attribution
-   hooks in [run_streaming]/[run_blocking]/[Rel_algebra] only record
-   while such a region is open. *)
-let profiled ~kind ~uid f =
-  Obs.Profile.enter ~kind ~uid;
-  match f () with
-  | rel ->
-      Obs.Profile.commit ~rows_out:(Relation.cardinality rel);
-      rel
-  | exception e ->
-      Obs.Profile.commit ~rows_out:(-1);
-      raise e
 
 let execute_raw node =
   let base, ops = linearize node in
+  let a0 = Gc.allocated_bytes () in
   let t0 = Obs.now_ns () in
   let schema = Relation.schema base in
   let data = Relation.to_array base in
-  record "scan" (Obs.now_ns () - t0);
+  let n = Array.length data in
+  observe ~rows_in:n ~rows_out:n ~t0 ~a0 [ Scan base ];
   (* [rel] is the relation whose array [data] still is — only the
      scan's, before any node transformed it — so the first streaming
      run can use its columnar image. *)
@@ -349,95 +328,13 @@ let execute_raw node =
   let schema, data = go (Some base) schema data ops in
   Relation.unsafe_of_array schema data
 
-let execute ?(uid = 0) node =
-  profiled ~kind:"plan" ~uid (fun () -> execute_raw node)
+(* The served run is the analyzed run: the region returns the record
+   it committed, so EXPLAIN ANALYZE shows this run and no other. *)
+let explain_analyze ?(uid = 0) node =
+  Obs.Profile.region ~kind:"plan" ~uid ~rows_out:Relation.cardinality
+    (fun () -> execute_raw node)
 
-(* ---------- instrumented execution (EXPLAIN ANALYZE) ---------- *)
-
-type profile = {
-  p_label : string;
-  p_rows_out : int;
-  p_time_ns : int;  (** this node only, child excluded *)
-  p_child : profile option;
-}
-
-let rec instrumented_node node =
-  (* the child runs first, outside this node's span, so [p_time_ns]
-     and the span duration are self-time *)
-  let below = Option.map instrumented_node (child node) in
-  let rows_in =
-    match below with Some ((_, _, data), _) -> Array.length data | None -> 0
-  in
-  let sp = Obs.span ~kind:(node_kind node) "plan.node" in
-  let t0 = Obs.now_ns () in
-  let ((_, _, data) as out) =
-    match (node, below) with
-    | Scan rel, _ ->
-        let a0 = Gc.allocated_bytes () in
-        let data = Relation.to_array rel in
-        let dt = Obs.now_ns () - t0 in
-        record "scan" dt;
-        Obs.Profile.note_node ~rows_in ~rows_out:(Array.length data)
-          ~kind:"scan" ~label:(node_label node) ~time_ns:dt
-          ~alloc_bytes:(Gc.allocated_bytes () -. a0) ();
-        (Some rel, Relation.schema rel, data)
-    | _, Some ((rel, schema, data), _) ->
-        let schema, data =
-          if is_streaming node then
-            run_streaming ?rel [ node ] schema data
-          else run_blocking node schema data
-        in
-        (None, schema, data)
-    | _, None ->
-        invalid_arg "Plan.execute_instrumented: inner node without child"
-  in
-  let dt = Obs.now_ns () - t0 in
-  let rows_out = Array.length data in
-  Obs.Metrics.incr c_plan_nodes;
-  Obs.Metrics.incr ~by:rows_in c_plan_rows_in;
-  Obs.Metrics.incr ~by:rows_out c_plan_rows_out;
-  Obs.finish ~rows_in ~rows_out sp;
-  ( out,
-    { p_label = node_label node;
-      p_rows_out = rows_out;
-      p_time_ns = dt;
-      p_child = Option.map snd below } )
-
-let execute_instrumented ?(uid = 0) node =
-  Obs.Profile.enter ~kind:"plan" ~uid;
-  match instrumented_node node with
-  | (_, schema, data), profile ->
-      Obs.Profile.commit ~rows_out:(Array.length data);
-      (Relation.unsafe_of_array schema data, profile)
-  | exception e ->
-      Obs.Profile.commit ~rows_out:(-1);
-      raise e
-
-let rec profile_total_ns p =
-  p.p_time_ns
-  + match p.p_child with Some c -> profile_total_ns c | None -> 0
-
-let render_profile profile =
-  let buf = Buffer.create 512 in
-  let total = float_of_int (max 1 (profile_total_ns profile)) in
-  let rec go indent (p : profile) =
-    Buffer.add_string buf
-      (Printf.sprintf "%s%s  (rows=%d, time=%.3f ms, %.1f%%)\n" indent
-         p.p_label p.p_rows_out
-         (float_of_int p.p_time_ns /. 1e6)
-         (100. *. float_of_int p.p_time_ns /. total));
-    match p.p_child with
-    | Some c -> go (indent ^ "  ") c
-    | None -> ()
-  in
-  go "" profile;
-  Buffer.add_string buf
-    (Printf.sprintf "Total: %.3f ms\n" (total /. 1e6));
-  Buffer.contents buf
-
-let explain_analyze ?(uid = 0) plan =
-  let rel, profile = execute_instrumented ~uid plan in
-  (rel, profile, render_profile profile)
+let execute ?uid node = fst (explain_analyze ?uid node)
 
 (* ---------- schema of a plan ---------- *)
 

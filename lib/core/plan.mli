@@ -6,7 +6,9 @@
     one node over a scan of the parent's materialization. The
     compiled plan is the shape in which the paper's prototype pushed
     manipulations down to its RDBMS, so it can also be inspected
-    ([explain], the REPL's [explain] command) and optimized.
+    ([explain], the REPL's [explain] command), profiled
+    ({!explain_analyze}, the profile of the run that served it) and
+    optimized.
 
     {!of_sheet} holds the precedence strata (DESIGN.md §4): filters
     sit at their stratum, aggregate extensions carry their grouping
@@ -70,41 +72,26 @@ val extension : Grouping.t -> Computed.t -> node -> node
     column's group level under the given grouping). *)
 
 val execute : ?uid:int -> node -> Relation.t
-(** Run the plan. Opens a Sheetdoctor profile region (kind ["plan"],
-    keyed on [uid], default [0]; collapsed into an enclosing region
-    of the same uid) for the duration, so fused-run extents,
-    columnar-vs-row path attribution and counter deltas land in
-    {!Sheet_obs.Obs.Profile}. *)
+(** Run the plan: the scan, then each maximal run of streaming nodes
+    (Filter / Project / Extend_formula) fused into one pass (a leading
+    run of filters straight over the scan may run as compiled
+    selection vectors), and each blocking node (Distinct_on,
+    Extend_aggregate, Sort) through {!Sheet_rel.Rel_algebra}. Runs in
+    a Sheetdoctor profile region (kind ["plan"], keyed on [uid],
+    default [0]; collapsed into an enclosing region of the same uid):
+    the scan and every run become one profile node each, with rows in
+    and out, time, allocation and path; each node kind gets a
+    [plan.node.<kind>] sample; a recording sink gets one [plan.node]
+    event per profile node. *)
 
-(** {2 Instrumented execution — EXPLAIN ANALYZE}
-
-    A plan is a chain (every node has at most one child), so a profile
-    mirrors that chain: per node, the label {!explain} would print,
-    the output cardinality, and self wall time (child excluded). The
-    nodes run through the same code as {!execute}, one node at a
-    time instead of fused. *)
-
-type profile = {
-  p_label : string;
-  p_rows_out : int;
-  p_time_ns : int;  (** this node only, child excluded *)
-  p_child : profile option;
-}
-
-val execute_instrumented : ?uid:int -> node -> Relation.t * profile
-(** Same result as {!execute} (property-tested, sink on or off), plus
-    the per-node profile. Emits one [plan.node] span per node and
-    bumps the [plan.*] counters whatever the sink. Also records a
-    Sheetdoctor profile region (kind ["plan"], keyed on [uid]) with
-    one node entry per plan node, including allocation deltas. *)
-
-val explain_analyze : ?uid:int -> node -> Relation.t * profile * string
-(** {!execute_instrumented} plus the rendered tree — one line per node
-    with rows, self time, and percentage of total. *)
-
-val profile_total_ns : profile -> int
-
-val render_profile : profile -> string
+val explain_analyze :
+  ?uid:int -> node -> Relation.t * Sheet_obs.Obs.Profile.t option
+(** EXPLAIN ANALYZE: {!execute}, plus the profile record that this run
+    committed ({!Sheet_obs.Obs.Profile.render_record} prints it). The
+    nodes are those of the served run, so a fused run is one node
+    whose label joins its plan nodes' labels with [" + "]. [None] when
+    profile collection is disabled or an enclosing region of the same
+    uid absorbed the run. *)
 
 val optimize : ?keep:string list -> node -> node
 (** Rewrite the plan; [keep] lists the columns the consumer needs

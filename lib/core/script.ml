@@ -332,27 +332,21 @@ let run_line session line =
               Some
                 ("plan:\n" ^ Plan.explain plan ^ "optimized (for visible \
                   columns):\n" ^ Plan.explain optimized) }
-    | "explain" (* analyze *) ->
-        (* the raw (unoptimized) plan is the one Materialize.full runs,
-           so the root's row count equals the full materialization's *)
+    | ("explain" | "profile") as word
+      when word = "explain" || split_words rest = [] -> (
+        (* [explain analyze], or bare [profile]: run the raw plan that
+           Materialize.full serves, and show the profile it recorded
+           (it also lands in the Sheetdoctor ring under the sheet's
+           uid) *)
         let sheet = Session.current session in
-        let plan = Plan.of_sheet sheet in
-        let _rel, _profile, text =
-          Plan.explain_analyze ~uid:sheet.Spreadsheet.uid plan
-        in
-        Ok { session; output = Some text }
+        match
+          snd (Plan.explain_analyze ~uid:sheet.Spreadsheet.uid
+                 (Plan.of_sheet sheet))
+        with
+        | Some r -> Ok { session; output = Some (Obs.Profile.render_record r) }
+        | None -> Error (word ^ ": profile collection is disabled"))
     | "profile" -> (
         match split_words (String.lowercase_ascii rest) with
-        | [] ->
-            (* bare [profile] keeps its EXPLAIN ANALYZE behavior; the
-               run also lands in the Sheetdoctor ring under the
-               sheet's uid *)
-            let sheet = Session.current session in
-            let plan = Plan.of_sheet sheet in
-            let _rel, _profile, text =
-              Plan.explain_analyze ~uid:sheet.Spreadsheet.uid plan
-            in
-            Ok { session; output = Some text }
         | [ "last" ] -> (
             match Obs.Profile.last () with
             | Some r ->

@@ -725,9 +725,6 @@ let k_cache_seeds = "materialize.cache_seeds"
 let k_full_replays = "materialize.full_replays"
 let k_incremental_derivations = "incremental.derivations"
 let k_incremental_fallbacks = "incremental.full_fallbacks"
-let k_plan_nodes = "plan.nodes_executed"
-let k_plan_rows_in = "plan.rows_in"
-let k_plan_rows_out = "plan.rows_out"
 let k_undo_depth = "session.undo_depth"
 let k_redo_depth = "session.redo_depth"
 let k_sql_translations = "sql.translations"
@@ -772,11 +769,10 @@ let () =
     [ k_engine_ops; k_engine_errors; k_cache_requests; k_cache_hits;
       k_cache_hits_subsumed; k_cache_misses;
       k_cache_evictions; k_cache_seeds; k_full_replays;
-      k_incremental_derivations; k_incremental_fallbacks; k_plan_nodes;
-      k_plan_rows_in; k_plan_rows_out; k_sql_translations;
-      k_sql_inverse_translations; k_sql_executions; k_par_morsels;
-      k_par_scans; k_col_columns; k_col_dict_entries; k_col_sel_rows_in;
-      k_col_sel_rows_out ];
+      k_incremental_derivations; k_incremental_fallbacks;
+      k_sql_translations; k_sql_inverse_translations; k_sql_executions;
+      k_par_morsels; k_par_scans; k_col_columns; k_col_dict_entries;
+      k_col_sel_rows_in; k_col_sel_rows_out ];
   List.iter
     (fun k -> ignore (Metrics.gauge k))
     [ k_undo_depth; k_redo_depth; k_par_domains; k_gc_minor; k_gc_major;
@@ -804,50 +800,6 @@ let () =
       Metrics.set g_gc_major s.Gc.major_collections;
       Metrics.set g_gc_promoted (int_of_float s.Gc.promoted_words);
       Metrics.set g_gc_heap s.Gc.heap_words
-
-type core_stats = {
-  engine_ops : int;
-  engine_errors : int;
-  cache_requests : int;
-  cache_hits : int;
-  cache_hits_subsumed : int;
-  cache_misses : int;
-  cache_evictions : int;
-  cache_seeds : int;
-  full_replays : int;
-  incremental_derivations : int;
-  incremental_fallbacks : int;
-  plan_nodes : int;
-  plan_rows_in : int;
-  plan_rows_out : int;
-  undo_depth : int;
-  redo_depth : int;
-  sql_translations : int;
-  sql_inverse_translations : int;
-  sql_executions : int;
-}
-
-let core_stats () =
-  let v = Metrics.value_of in
-  { engine_ops = v k_engine_ops;
-    engine_errors = v k_engine_errors;
-    cache_requests = v k_cache_requests;
-    cache_hits = v k_cache_hits;
-    cache_hits_subsumed = v k_cache_hits_subsumed;
-    cache_misses = v k_cache_misses;
-    cache_evictions = v k_cache_evictions;
-    cache_seeds = v k_cache_seeds;
-    full_replays = v k_full_replays;
-    incremental_derivations = v k_incremental_derivations;
-    incremental_fallbacks = v k_incremental_fallbacks;
-    plan_nodes = v k_plan_nodes;
-    plan_rows_in = v k_plan_rows_in;
-    plan_rows_out = v k_plan_rows_out;
-    undo_depth = v k_undo_depth;
-    redo_depth = v k_redo_depth;
-    sql_translations = v k_sql_translations;
-    sql_inverse_translations = v k_sql_inverse_translations;
-    sql_executions = v k_sql_executions }
 
 (* ---------- session flight recorder ----------
 
@@ -1118,7 +1070,6 @@ module Profile = struct
     match find_region !stack with Some _ -> true | None -> false
 
   let open_regions () = List.length !stack
-  let reset_stack_for_tests () = stack := []
 
   let push_record r =
     with_lock pr_mutex (fun () ->
@@ -1157,13 +1108,13 @@ module Profile = struct
 
   let commit ~rows_out =
     match !stack with
-    | [] -> ()  (* unbalanced commit: tolerated, like span mis-nesting *)
+    | [] -> None
     | slot :: rest -> (
         stack := rest;
         match slot with
-        | Disabled | Nested -> ()
+        | Disabled | Nested -> None
         | Region p ->
-            push_record
+            let r =
               { p_session = Labels.to_string (ambient_labels ());
                 p_uid = p.pd_uid;
                 p_kind = p.pd_kind;
@@ -1180,7 +1131,18 @@ module Profile = struct
                 p_sel_rows_out = Metrics.get c_sel_out - p.pd_sel_out0;
                 p_compiled = List.rev p.pd_compiled;
                 p_fallbacks = List.rev p.pd_fallbacks;
-                p_nodes = List.rev p.pd_nodes })
+                p_nodes = List.rev p.pd_nodes }
+            in
+            push_record r;
+            Some r)
+
+  let region ~kind ~uid ~rows_out f =
+    enter ~kind ~uid;
+    match f () with
+    | x -> (x, commit ~rows_out:(rows_out x))
+    | exception e ->
+        ignore (commit ~rows_out:(-1));
+        raise e
 
   let note f = match find_region !stack with None -> () | Some p -> f p
   let note_cache outcome = note (fun p -> p.pd_cache <- outcome)
@@ -1225,11 +1187,7 @@ module Profile = struct
       (fun acc r -> if r.p_uid = uid then Some r else acc)
       None (records ())
 
-  (* ----- JSON (schema "sheetscope-profile/v1") -----
-
-     The printer/parser pair is total and round-trips records exactly
-     (fuzz-tested): printing never raises, and [of_json] answers
-     [Error], never an exception, on arbitrary JSON. *)
+  (* ----- JSON (schema "sheetscope-profile/v1"), export only ----- *)
 
   let node_to_json n =
     Obs_json.Obj
@@ -1276,92 +1234,6 @@ module Profile = struct
         ("dropped", Obs_json.Int (dropped ()));
         ("profiles", Obs_json.List (List.map record_to_json (records ()))) ]
 
-  let ( let* ) = Result.bind
-
-  let str_field j k =
-    match Obs_json.member k j with
-    | Some (Obs_json.String s) -> Ok s
-    | _ -> Error (Printf.sprintf "profile: expected string field %S" k)
-
-  let int_field j k =
-    match Obs_json.member k j with
-    | Some (Obs_json.Int i) -> Ok i
-    | _ -> Error (Printf.sprintf "profile: expected int field %S" k)
-
-  let float_field j k =
-    match Obs_json.member k j with
-    | Some (Obs_json.Float f) -> Ok f
-    | Some (Obs_json.Int i) -> Ok (float_of_int i)
-    | _ -> Error (Printf.sprintf "profile: expected number field %S" k)
-
-  let list_field j k =
-    match Obs_json.member k j with
-    | Some (Obs_json.List l) -> Ok l
-    | _ -> Error (Printf.sprintf "profile: expected list field %S" k)
-
-  let rec map_result f = function
-    | [] -> Ok []
-    | x :: rest ->
-        let* y = f x in
-        let* ys = map_result f rest in
-        Ok (y :: ys)
-
-  let node_of_json j =
-    let* n_kind = str_field j "kind" in
-    let* n_label = str_field j "label" in
-    let* n_rows_in = int_field j "rows_in" in
-    let* n_rows_out = int_field j "rows_out" in
-    let* n_time_ns = int_field j "time_ns" in
-    let* n_alloc_bytes = float_field j "alloc_bytes" in
-    let* n_path = str_field j "path" in
-    let* n_detail = str_field j "detail" in
-    Ok
-      { n_kind; n_label; n_rows_in; n_rows_out; n_time_ns; n_alloc_bytes;
-        n_path; n_detail }
-
-  let fallback_of_json j =
-    let* pred = str_field j "pred" in
-    let* reason = str_field j "reason" in
-    Ok (pred, reason)
-
-  let record_of_json j =
-    let* p_session = str_field j "session" in
-    let* p_uid = int_field j "uid" in
-    let* p_kind = str_field j "kind" in
-    let* p_rows_out = int_field j "rows_out" in
-    let* p_total_ns = int_field j "total_ns" in
-    let* p_alloc_bytes = float_field j "alloc_bytes" in
-    let* p_cache = str_field j "cache" in
-    let* p_strategy = str_field j "strategy" in
-    let* p_domains = int_field j "domains" in
-    let* p_morsels = int_field j "morsels" in
-    let* p_par_scans = int_field j "par_scans" in
-    let* p_sel_rows_in = int_field j "sel_rows_in" in
-    let* p_sel_rows_out = int_field j "sel_rows_out" in
-    let* compiled = list_field j "compiled" in
-    let* p_compiled =
-      map_result
-        (function
-          | Obs_json.String s -> Ok s
-          | _ -> Error "profile: \"compiled\" entries must be strings")
-        compiled
-    in
-    let* fallbacks = list_field j "fallbacks" in
-    let* p_fallbacks = map_result fallback_of_json fallbacks in
-    let* nodes = list_field j "nodes" in
-    let* p_nodes = map_result node_of_json nodes in
-    Ok
-      { p_session; p_uid; p_kind; p_rows_out; p_total_ns; p_alloc_bytes;
-        p_cache; p_strategy; p_domains; p_morsels; p_par_scans;
-        p_sel_rows_in; p_sel_rows_out; p_compiled; p_fallbacks; p_nodes }
-
-  let of_json j =
-    match Obs_json.member "schema" j with
-    | Some (Obs_json.String "sheetscope-profile/v1") ->
-        let* l = list_field j "profiles" in
-        map_result record_of_json l
-    | _ -> Error "profile: missing or unsupported \"schema\""
-
   (* ----- rendering ----- *)
 
   let pp_bytes b =
@@ -1398,12 +1270,14 @@ module Profile = struct
     List.iter
       (fun n ->
         Buffer.add_string buf
-          (Printf.sprintf "\n    %-12s %-30s %10s  %8.3f ms%s" n.n_kind
-             n.n_label
+          (Printf.sprintf "\n    %-12s %-30s %10s  %8.3f ms %5.1f%%%s"
+             n.n_kind n.n_label
              ((if n.n_rows_in < 0 then ""
                else string_of_int n.n_rows_in ^ " -> ")
              ^ if n.n_rows_out < 0 then "?" else string_of_int n.n_rows_out)
              (float_of_int n.n_time_ns /. 1e6)
+             (100. *. float_of_int n.n_time_ns
+             /. float_of_int (max 1 r.p_total_ns))
              (if n.n_path = "" then "" else "  [" ^ n.n_path ^ "]")))
       r.p_nodes;
     Buffer.contents buf

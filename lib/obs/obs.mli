@@ -4,14 +4,13 @@
 
     - {e span tracing}: [span]/[finish] bracket a unit of work with
       monotone-enough wall timings, nestable, tagged with the sheet
-      [uid] and an operator [kind]. The engine, the materializer, the
-      incremental deriver, and (under EXPLAIN ANALYZE) every plan node
-      are bracketed this way.
+      [uid] and an operator [kind]. The engine, the materializer and the
+      incremental deriver are bracketed this way; every plan run
+      records its completed [plan.node] event through {!emit}.
     - {e metrics}: a process-wide registry of named counters, gauges
       and latency histograms (cache hits/misses, replays vs
-      derivations, rows per plan node, undo/redo depth, GC activity,
-      per-op latency), snapshotable as an association list, a typed
-      {!core_stats} record, or JSON.
+      derivations, per-node-kind plan latency, undo/redo depth, GC activity,
+      per-op latency), snapshotable as an association list or JSON.
     - {e sinks}: where completed spans go. [Off] (the default) makes
       [span] a single mutable-bool test returning a shared dummy —
       instrumented code paths are property-tested byte-identical to
@@ -361,9 +360,6 @@ val k_cache_seeds : string
 val k_full_replays : string
 val k_incremental_derivations : string
 val k_incremental_fallbacks : string
-val k_plan_nodes : string
-val k_plan_rows_in : string
-val k_plan_rows_out : string
 val k_undo_depth : string
 val k_redo_depth : string
 val k_sql_translations : string
@@ -415,31 +411,6 @@ val sample_gc_gauges : unit -> unit
 (** Refresh the GC gauges from [Gc.quick_stat] now. Called
     automatically by [span]/[finish] (when recording),
     {!metrics_report} and {!to_chrome_trace}. *)
-
-(** The registry's well-known slice as a typed record. *)
-type core_stats = {
-  engine_ops : int;
-  engine_errors : int;
-  cache_requests : int;
-  cache_hits : int;
-  cache_hits_subsumed : int;
-  cache_misses : int;
-  cache_evictions : int;
-  cache_seeds : int;
-  full_replays : int;
-  incremental_derivations : int;
-  incremental_fallbacks : int;
-  plan_nodes : int;
-  plan_rows_in : int;
-  plan_rows_out : int;
-  undo_depth : int;
-  redo_depth : int;
-  sql_translations : int;
-  sql_inverse_translations : int;
-  sql_executions : int;
-}
-
-val core_stats : unit -> core_stats
 
 (** {1 Session flight recorder}
 
@@ -548,8 +519,8 @@ end
     the span sink, bounded with a drop counter. Capacity comes from
     [SHEETSCOPE_PROFILE_CAP] (default 64; invalid values warn once —
     see {!Env}). The region stack is {e single-writer} like span
-    nesting: only the session's driving thread calls
-    {!Profile.enter}/{!Profile.commit}/[note_*]; worker domains
+    nesting: only the session's driving thread opens a
+    {!Profile.region} or calls [note_*]; worker domains
     contribute only through the sharded counters whose deltas the
     region snapshots, so records are exact under parallelism and
     identical (modulo timings/allocations/domain count) across domain
@@ -593,16 +564,18 @@ module Profile : sig
     p_nodes : node list;  (** execution order *)
   }
 
-  val enter : kind:string -> uid:int -> unit
-  (** Open a profiling region. A re-entry for a uid that already has
-      an open region (e.g. [Materialize.full] under a [full_cached]
-      miss) nests: its notes flow to the enclosing region and its
-      commit records nothing, so one query yields one record. *)
-
-  val commit : rows_out:int -> unit
-  (** Close the innermost region; a real (non-nested) region pushes
-      its record into the ring. Callers pass [-1] on the exception
-      path. *)
+  val region :
+    kind:string -> uid:int -> rows_out:('a -> int) -> (unit -> 'a) -> 'a * t option
+  (** [region ~kind ~uid ~rows_out f] runs [f] inside a profiling
+      region and commits it with [rows_out] of the result ([-1] when
+      [f] raises; the exception is re-raised). The record this region
+      pushed into the ring comes back with the result, so a caller
+      never reads another session's record from the shared ring.
+      [None] when collection is disabled, or when an enclosing region
+      is open for the same non-zero uid (e.g. [Materialize.full] under
+      a [full_cached] miss): the nested region's notes then flow to
+      the enclosing one and its commit records nothing, so one query
+      yields one record. Regions nest strictly by construction. *)
 
   val note_cache : string -> unit
   (** Record the cache outcome on the nearest open region (no-op
@@ -626,14 +599,12 @@ module Profile : sig
 
   val in_region : unit -> bool
   val open_regions : unit -> int
-  (** Regions entered but not yet committed — 0 after any balanced
-      workload (the doctor gate fails otherwise). *)
-
-  val reset_stack_for_tests : unit -> unit
+  (** Regions entered but not yet committed: 0 outside any
+      {!region} (the doctor gate and the tests check it). *)
 
   val enabled : unit -> bool
   val set_enabled : bool -> unit
-  (** Switch collection off entirely ([enter] pushes an inert slot).
+  (** Switch collection off entirely (a {!region} records nothing).
       Default on; the overhead bench measures the difference. *)
 
   val default_cap : int
@@ -657,17 +628,20 @@ module Profile : sig
   val clear : unit -> unit
 
   val record_to_json : t -> Obs_json.t
-  val record_of_json : Obs_json.t -> (t, string) result
-  (** Total: malformed input answers [Error], never an exception;
-      round-trips {!record_to_json} exactly (fuzz-tested). *)
 
   val to_json : unit -> Obs_json.t
   (** ["sheetscope-profile/v1"]: capacity, dropped count and the
       record list — also embedded in the Chrome-trace [otherData]. *)
 
-  val of_json : Obs_json.t -> (t list, string) result
-
   val render_record : t -> string
+  (** One header line (uid, kind, session, rows, total time,
+      allocation), cache/strategy and parallelism lines, the path
+      attribution, then one line per node in execution order: kind,
+      label, rows in -> out, time, share of the record's total, path.
+      A fused run is one node whose label joins the labels of the
+      plan nodes it ran with [" + "]. This is what EXPLAIN ANALYZE
+      prints. *)
+
   val render : ?limit:int -> unit -> string
   (** Human-readable dump (most recent [limit] records when given). *)
 end

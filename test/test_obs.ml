@@ -1,12 +1,14 @@
 (* Sheetscope: the instrumentation must never change what a query
    returns, and what it records must be well formed.
 
-   - with the sink off (the default), [Plan.execute_instrumented]
-     equals [Plan.execute] equals the reference interpreter
+   - EXPLAIN ANALYZE ([Plan.explain_analyze], the served run plus the
+     profile record it committed) equals the reference interpreter
      (oracle.ml) on random query states (the generator style of
-     test_props.ml);
-   - the same with the Memory sink on, plus: spans balanced, properly
-     nested, and interval-consistent;
+     test_props.ml), its record is one contiguous node chain covering
+     every plan node once (profile_check.ml), no profile region is
+     left open, and with collection disabled it still answers;
+   - the same results with the Memory sink on, plus: spans balanced,
+     properly nested, and interval-consistent;
    - counters are monotone across work; gauges are not counters;
    - the Chrome trace export parses back through Obs_json and
      round-trips;
@@ -118,50 +120,45 @@ let with_sink sink f =
   Obs.set_sink sink;
   Fun.protect ~finally:(fun () -> Obs.set_sink old) f
 
-let instrumented_equals_plain_off =
+let explain_analyze_is_the_served_run =
   QCheck.Test.make ~count:1000
-    ~name:"sink off: execute_instrumented = execute = Materialize.full"
+    ~name:"explain analyze: oracle rows, contiguous chain, plan covered"
     sheet_arbitrary
     (fun sheet ->
       with_sink Obs.Off @@ fun () ->
       let plan = Plan.of_sheet sheet in
-      let plain = Plan.execute plan in
-      let rel, profile = Plan.execute_instrumented plan in
-      Relation.equal rel plain
-      && Relation.equal rel (Materialize.full sheet)
-      && Oracle.same rel (Oracle.full sheet)
-      && profile.Plan.p_rows_out = Relation.cardinality rel)
+      let rel, record =
+        Plan.explain_analyze ~uid:sheet.Spreadsheet.uid plan
+      in
+      let off_rel, off_record =
+        Obs.Profile.set_enabled false;
+        Fun.protect ~finally:(fun () -> Obs.Profile.set_enabled true)
+        @@ fun () -> Plan.explain_analyze ~uid:sheet.Spreadsheet.uid plan
+      in
+      (match record with
+      | None -> QCheck.Test.fail_report "no record with collection on"
+      | Some r -> (
+          match Profile_check.check plan rel r with
+          | Ok () -> ()
+          | Error msg -> QCheck.Test.fail_report msg));
+      Oracle.same rel (Oracle.full sheet)
+      && Obs.Profile.open_regions () = 0
+      && off_record = None
+      && Oracle.same off_rel rel)
 
-let instrumented_equals_plain_memory =
+let explain_analyze_memory_sink =
   QCheck.Test.make ~count:300
     ~name:"memory sink: same results, spans balanced and nested"
     sheet_arbitrary
     (fun sheet ->
       with_sink Obs.Memory @@ fun () ->
       Obs.clear_events ();
-      let plan = Plan.of_sheet sheet in
-      let rel, _profile = Plan.execute_instrumented plan in
+      let rel, _record = Plan.explain_analyze (Plan.of_sheet sheet) in
       let ok_result = Oracle.same rel (Oracle.full sheet) in
       ok_result
       && Obs.open_spans () = 0
       && Obs.nesting_ok ()
       && Obs.events_well_formed (Obs.events ()))
-
-let profile_chain_rows =
-  QCheck.Test.make ~count:200
-    ~name:"profile chain: every node reports non-negative rows and time"
-    sheet_arbitrary
-    (fun sheet ->
-      let _rel, profile =
-        Plan.execute_instrumented (Plan.of_sheet sheet)
-      in
-      let rec ok (p : Plan.profile) =
-        p.Plan.p_rows_out >= 0
-        && p.Plan.p_time_ns >= 0
-        && p.Plan.p_label <> ""
-        && (match p.Plan.p_child with Some c -> ok c | None -> true)
-      in
-      ok profile && Plan.profile_total_ns profile >= 0)
 
 (* ---------- counters ---------- *)
 
@@ -170,8 +167,7 @@ let counter_names =
     Obs.k_cache_hits; Obs.k_cache_hits_subsumed;
     Obs.k_cache_misses; Obs.k_cache_evictions; Obs.k_cache_seeds;
     Obs.k_full_replays; Obs.k_incremental_derivations;
-    Obs.k_incremental_fallbacks; Obs.k_plan_nodes; Obs.k_plan_rows_in;
-    Obs.k_plan_rows_out; Obs.k_sql_translations;
+    Obs.k_incremental_fallbacks; Obs.k_sql_translations;
     Obs.k_sql_inverse_translations; Obs.k_sql_executions ]
 
 let counters_monotone =
@@ -182,7 +178,7 @@ let counters_monotone =
       let before =
         List.map (fun n -> (n, Obs.Metrics.value_of n)) counter_names
       in
-      ignore (Plan.execute_instrumented (Plan.of_sheet sheet));
+      ignore (Plan.execute (Plan.of_sheet sheet));
       ignore (Engine.apply sheet Op.Dedup);
       List.for_all
         (fun (n, v0) -> Obs.Metrics.value_of n >= v0)
@@ -196,12 +192,11 @@ let counters_snapshot () =
         (n ^ " present") true
         (List.mem_assoc n snap))
     counter_names;
-  (* the typed record agrees with the registry *)
-  let stats = Obs.core_stats () in
-  Alcotest.(check int) "engine_ops" (Obs.Metrics.value_of Obs.k_engine_ops)
-    stats.Obs.engine_ops;
-  Alcotest.(check int) "plan_nodes" (Obs.Metrics.value_of Obs.k_plan_nodes)
-    stats.Obs.plan_nodes
+  (* point reads agree with the snapshot *)
+  List.iter
+    (fun n ->
+      Alcotest.(check int) n (List.assoc n snap) (Obs.Metrics.value_of n))
+    counter_names
 
 (* ---------- cache stats ---------- *)
 
@@ -254,7 +249,7 @@ let trace_round_trip () =
     | Error _ -> Alcotest.fail "select refused"
   in
   ignore (Materialize.full sheet);
-  ignore (Plan.execute_instrumented (Plan.of_sheet sheet));
+  ignore (Plan.explain_analyze (Plan.of_sheet sheet));
   let text = Obs.chrome_trace_string () in
   match J.parse text with
   | Error msg -> Alcotest.fail ("trace does not parse: " ^ msg)
@@ -1121,26 +1116,36 @@ let series_ordering_pinned () =
 
 module P = Obs.Profile
 
+(* an empty region that commits [rows] *)
+let empty_region ~kind ~uid rows =
+  ignore (P.region ~kind ~uid ~rows_out:(fun () -> rows) ignore)
+
 let profile_region_basic () =
   P.clear ();
-  P.reset_stack_for_tests ();
   Obs.set_ambient_labels (Obs.Labels.v [ ("session", "ptest") ]);
   Fun.protect
     ~finally:(fun () -> Obs.set_ambient_labels Obs.Labels.empty)
   @@ fun () ->
-  P.enter ~kind:"materialize" ~uid:42;
-  P.note_cache "miss";
-  (* a same-uid re-entry (full under a full_cached miss) nests *)
-  P.enter ~kind:"materialize" ~uid:42;
-  P.note_strategy "full-replay";
-  P.note_compiled "Price > 3";
-  P.note_fallback ~pred:"f(Price)" ~reason:"non-total subtree f(Price)";
-  P.note_node ~rows_in:10 ~rows_out:5 ~kind:"stratum" ~label:"stratum 0"
-    ~time_ns:1_000 ~alloc_bytes:64. ();
-  P.commit ~rows_out:5;
-  Alcotest.(check int) "nested commit records nothing" 0 (P.length ());
-  Alcotest.(check int) "outer region still open" 1 (P.open_regions ());
-  P.commit ~rows_out:5;
+  let (), outer =
+    P.region ~kind:"materialize" ~uid:42 ~rows_out:(fun () -> 5) @@ fun () ->
+    P.note_cache "miss";
+    (* a same-uid re-entry (full under a full_cached miss) nests *)
+    let (), nested =
+      P.region ~kind:"materialize" ~uid:42 ~rows_out:(fun () -> 5)
+      @@ fun () ->
+      P.note_strategy "full-replay";
+      P.note_compiled "Price > 3";
+      P.note_fallback ~pred:"f(Price)" ~reason:"non-total subtree f(Price)";
+      P.note_node ~rows_in:10 ~rows_out:5 ~kind:"stratum" ~label:"stratum 0"
+        ~time_ns:1_000 ~alloc_bytes:64. ()
+    in
+    Alcotest.(check bool) "nested region returns no record" true
+      (nested = None);
+    Alcotest.(check int) "nested commit records nothing" 0 (P.length ());
+    Alcotest.(check int) "outer region still open" 1 (P.open_regions ())
+  in
+  Alcotest.(check bool) "outer region returns the ring's record" true
+    (outer <> None && outer = P.last ());
   Alcotest.(check int) "balanced" 0 (P.open_regions ());
   match P.records () with
   | [ r ] ->
@@ -1166,7 +1171,6 @@ let profile_region_basic () =
 
 let profile_ring_bounded () =
   P.clear ();
-  P.reset_stack_for_tests ();
   P.set_capacity 4;
   Fun.protect
     ~finally:(fun () ->
@@ -1174,8 +1178,7 @@ let profile_ring_bounded () =
       P.clear ())
   @@ fun () ->
   for i = 1 to 10 do
-    P.enter ~kind:"plan" ~uid:i;
-    P.commit ~rows_out:i
+    empty_region ~kind:"plan" ~uid:i i
   done;
   Alcotest.(check int) "length capped" 4 (P.length ());
   Alcotest.(check int) "dropped counted" 6 (P.dropped ());
@@ -1193,53 +1196,43 @@ let profile_ring_bounded () =
 
 let profile_disabled_inert () =
   P.clear ();
-  P.reset_stack_for_tests ();
   P.set_enabled false;
   Fun.protect ~finally:(fun () -> P.set_enabled true) @@ fun () ->
-  P.enter ~kind:"plan" ~uid:7;
-  P.note_cache "exact";
-  P.note_node ~kind:"x" ~label:"y" ~time_ns:1 ~alloc_bytes:0. ();
-  P.commit ~rows_out:1;
+  let (), record =
+    P.region ~kind:"plan" ~uid:7 ~rows_out:(fun () -> 1) @@ fun () ->
+    P.note_cache "exact";
+    P.note_node ~kind:"x" ~label:"y" ~time_ns:1 ~alloc_bytes:0. ()
+  in
+  Alcotest.(check bool) "region returns no record" true (record = None);
   Alcotest.(check int) "no record" 0 (P.length ());
   Alcotest.(check int) "balanced" 0 (P.open_regions ())
 
-let profile_json_round_trip () =
+let profile_json_lists_records () =
   P.clear ();
-  P.reset_stack_for_tests ();
-  P.enter ~kind:"materialize" ~uid:1;
-  P.note_cache "subsumed";
-  P.note_node ~rows_in:100 ~rows_out:7 ~path:"columnar" ~kind:"filter"
-    ~label:"Price < 9000" ~time_ns:123 ~alloc_bytes:1024.5 ();
-  P.commit ~rows_out:7;
-  P.enter ~kind:"plan" ~uid:2;
-  P.note_fallback ~pred:"a / b = 1" ~reason:"non-total subtree a / b";
-  P.commit ~rows_out:(-1);
-  (* export parses back through the bundled parser, exactly *)
-  (match J.parse (J.to_string (P.to_json ())) with
-  | Error msg -> Alcotest.fail ("export does not parse: " ^ msg)
-  | Ok parsed -> (
-      match P.of_json parsed with
-      | Error msg -> Alcotest.fail msg
-      | Ok rs ->
-          Alcotest.(check bool) "records round-trip" true
-            (rs = P.records ())));
-  (* malformed input answers Error, never an exception *)
-  List.iter
-    (fun j ->
-      match P.of_json j with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "malformed input accepted")
-    [ J.Null; J.Obj []; J.Obj [ ("schema", J.String "nope") ];
-      J.Obj
-        [ ("schema", J.String "sheetscope-profile/v1");
-          ("profiles", J.String "not-a-list") ] ];
+  let (), _ =
+    P.region ~kind:"materialize" ~uid:1 ~rows_out:(fun () -> 7) @@ fun () ->
+    P.note_cache "subsumed";
+    P.note_node ~rows_in:100 ~rows_out:7 ~path:"columnar" ~kind:"filter"
+      ~label:"Price < 9000" ~time_ns:123 ~alloc_bytes:1024.5 ()
+  in
+  (match
+     P.region ~kind:"plan" ~uid:2 ~rows_out:(fun () -> 0) @@ fun () ->
+     P.note_fallback ~pred:"a / b = 1" ~reason:"non-total subtree a / b";
+     raise Exit
+   with
+  | _ -> Alcotest.fail "the region swallowed the exception"
+  | exception Exit -> ());
+  Alcotest.(check (list int)) "a raising region commits -1 rows" [ 7; -1 ]
+    (List.map (fun r -> r.P.p_rows_out) (P.records ()));
+  (match Profile_check.json_lists_records () with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg);
   P.clear ()
 
 let profile_in_chrome_trace () =
   with_sink Obs.Memory @@ fun () ->
   P.clear ();
-  P.enter ~kind:"plan" ~uid:3;
-  P.commit ~rows_out:0;
+  empty_region ~kind:"plan" ~uid:3 0;
   (match J.parse (Obs.chrome_trace_string ()) with
   | Error msg -> Alcotest.fail msg
   | Ok j -> (
@@ -1270,10 +1263,8 @@ let env_warn_once_profile_cap () =
   Obs.reload_env_config ();
   (* the invalid value kept the 64-record default *)
   P.clear ();
-  P.reset_stack_for_tests ();
   for i = 1 to P.default_cap + 5 do
-    P.enter ~kind:"plan" ~uid:i;
-    P.commit ~rows_out:0
+    empty_region ~kind:"plan" ~uid:i 0
   done;
   Alcotest.(check int) "fell back to the default capacity" P.default_cap
     (P.length ());
@@ -1304,8 +1295,7 @@ let env_warn_once_profile_cap () =
   Obs.reload_env_config ();
   P.clear ();
   for i = 1 to 12 do
-    P.enter ~kind:"plan" ~uid:i;
-    P.commit ~rows_out:0
+    empty_region ~kind:"plan" ~uid:i 0
   done;
   Alcotest.(check int) "valid value applied" 8 (P.length ());
   Alcotest.(check int) "no warning for a valid value" 0
@@ -1360,9 +1350,8 @@ let () =
   let prop t = QCheck_alcotest.to_alcotest t in
   Alcotest.run "sheet_obs"
     [ ("equivalence",
-       [ prop instrumented_equals_plain_off;
-         prop instrumented_equals_plain_memory;
-         prop profile_chain_rows ]);
+       [ prop explain_analyze_is_the_served_run;
+         prop explain_analyze_memory_sink ]);
       ("metrics",
        [ prop counters_monotone;
          Alcotest.test_case "snapshot carries well-known names" `Quick
@@ -1450,8 +1439,8 @@ let () =
            profile_ring_bounded;
          Alcotest.test_case "disabled collection is inert" `Quick
            profile_disabled_inert;
-         Alcotest.test_case "JSON round-trips, parser total" `Quick
-           profile_json_round_trip;
+         Alcotest.test_case "JSON lists every record" `Quick
+           profile_json_lists_records;
          Alcotest.test_case "chrome trace carries the block" `Quick
            profile_in_chrome_trace ]);
       ("gc",

@@ -2,8 +2,9 @@
    tracing — morsel-parallel on 4 domains with the cutover forced low,
    so the sharded v3 registry genuinely sees concurrent writers — and
    fail the build when the instrumentation itself is broken: unclosed
-   or mis-nested spans, negative counters, a profiled row count that
-   disagrees with the materializer, per-task labeled series that do
+   or mis-nested spans, negative counters, an EXPLAIN ANALYZE whose
+   rows disagree with the materializer or whose profile is not one
+   contiguous chain over the plan, per-task labeled series that do
    not add up, or a Chrome trace export that does not parse back.
    A second phase replays every task under 1 domain and under 4
    against fresh catalogs and asserts the merged sharded totals
@@ -55,22 +56,29 @@ let run_task catalog (task : Sheet_tpch.Tpch_tasks.t) =
       | Error msg -> check (label "script") false msg
       | Ok session ->
           let sheet = Session.current session in
-          (* EXPLAIN ANALYZE agrees with the materializer on every row *)
-          let rel, profile = Plan.execute_instrumented (Plan.of_sheet sheet) in
+          (* EXPLAIN ANALYZE agrees with the materializer on every
+             row, and its record is one contiguous node chain that
+             covers every plan node once *)
+          let plan = Plan.of_sheet sheet in
+          let rel, record = Plan.explain_analyze plan in
           let expected = Materialize.full sheet in
           check (label "rows")
-            (profile.Plan.p_rows_out
-             = Sheet_rel.Relation.cardinality expected
-            && Sheet_rel.Relation.cardinality rel
-               = Sheet_rel.Relation.cardinality expected)
-            (Printf.sprintf "profiled %d rows, materializer %d"
-               profile.Plan.p_rows_out
+            (Sheet_rel.Relation.cardinality rel
+            = Sheet_rel.Relation.cardinality expected)
+            (Printf.sprintf "explain analyze %d rows, materializer %d"
+               (Sheet_rel.Relation.cardinality rel)
                (Sheet_rel.Relation.cardinality expected));
+          (match record with
+          | None -> check (label "profile") false "no profile record"
+          | Some r -> (
+              match Profile_check.check plan rel r with
+              | Ok () -> ()
+              | Error msg -> check (label "profile") false msg));
           check (label "result")
             (Sheet_rel.Relation.equal_unordered_data
                (Sheet_rel.Relation.normalize rel)
                (Sheet_rel.Relation.normalize expected))
-            "instrumented plan result differs from Materialize.full";
+            "explain analyze result differs from Materialize.full";
           (* spans balanced and properly nested *)
           check (label "spans") (Obs.open_spans () = 0)
             (Printf.sprintf "%d unclosed span(s)" (Obs.open_spans ()));
